@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import LayerscopeError, TooLarge
-from .graphs import Family, GraphParams, build_explicit, default_cap, validate_vertex
+from .graphs import Family, GraphParams, build_explicit, split_symbols, validate_vertex
 from .layers import layer_poly_eval
 from .oracle import simulate_walk_hops, verify_grid
 from .probabilities import (
@@ -44,10 +44,31 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_symbols(text: str) -> List[int]:
-    if "." in text:
-        return [int(part) for part in text.split(".")]
-    return [int(ch) for ch in text]
+def _int_arg(rule: str, ok):
+    """argparse type: an integer satisfying ok, else a usage error quoting rule."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected an integer {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_degree = _int_arg(">= 2", lambda v: v >= 2)
+_diameter = _int_arg(">= 1", lambda v: v >= 1)
+_packets = _int_arg("0 (off) or >= 2", lambda v: v == 0 or v >= 2)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction a/b, got {text!r}") from None
 
 
 def _check_word(family: Family, D: int, word: List[int], alphabet: Optional[int]) -> tuple:
@@ -83,10 +104,6 @@ def _emit(fmt: str, headers: List[str], rows: List[List[str]], payload: dict, no
         _emit_table(headers, rows, notes)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -98,11 +115,11 @@ def cmd_layers(args) -> int:
     if (args.vertex is None) == (args.cls is None):
         raise _UsageError("layers needs exactly one of --vertex or --class")
     if args.cls is not None:
-        word = _parse_symbols(args.cls)
+        word = split_symbols(args.cls)
         v = _check_word(family, D, word, None)
         label = args.cls
     else:
-        word = _parse_symbols(args.vertex)
+        word = split_symbols(args.vertex)
         alphabet = None
         if args.d is not None:
             alphabet = args.d if family is Family.DEBRUIJN else args.d + 1
@@ -146,8 +163,8 @@ def cmd_pin(args) -> int:
         entry = {"i": i, "formula": rf.format(), "rf": rf.to_json()}
         if args.d is not None:
             val = rf.evaluate(args.d)
-            row.append(_frac_str(val))
-            entry["value"] = _frac_str(val)
+            row.append(str(val))
+            entry["value"] = str(val)
         rows.append(row)
         json_rows.append(entry)
     payload = {"family": str(family), "D": D, "kind": "input", "rows": json_rows}
@@ -182,10 +199,10 @@ def cmd_pt(args) -> int:
             json_rows.append({"i": i, "j": j, "formula": rf.format(), "rf": rf.to_json()})
         else:
             val = p_t_value(family, args.d, D, i, j)
-            # d = 2 re-derives under the d = 2 criteria, so no symbolic form applies there
-            formula = p_t(family, D, i, j).format() if args.d >= 3 else _frac_str(val)
-            rows.append([str(i), str(j), formula, _frac_str(val)])
-            json_rows.append({"i": i, "j": j, "formula": formula, "value": _frac_str(val)})
+            # the symbolic form holds for d >= 3 only
+            formula = p_t(family, D, i, j).format() if args.d >= 3 else str(val)
+            rows.append([str(i), str(j), formula, str(val)])
+            json_rows.append({"i": i, "j": j, "formula": formula, "value": str(val)})
     payload = {
         "family": str(family),
         "D": D,
@@ -206,8 +223,8 @@ def cmd_meandist(args) -> int:
     if args.d is not None:
         val = rf.evaluate(args.d)
         headers.append(f"value at d={args.d}")
-        rows[0].append(_frac_str(val))
-        payload["value"] = _frac_str(val)
+        rows[0].append(str(val))
+        payload["value"] = str(val)
     _emit(args.format, headers, rows, payload, [])
     return 0
 
@@ -216,8 +233,7 @@ def cmd_verify(args) -> int:
     families = [Family.parse(f) for f in args.family] if args.family else list(Family)
     d_values = args.d or [2, 3, 4]
     D_values = args.D or [2, 3, 4, 5]
-    cap = args.cap if args.cap is not None else default_cap()
-    summary = verify_grid(families, d_values, D_values, max_vertices=cap)
+    summary = verify_grid(families, d_values, D_values, max_vertices=args.cap)
     for m in summary.mismatches:
         print(json.dumps(m.to_json(), sort_keys=True))
     grid = ", ".join(
@@ -235,7 +251,7 @@ def cmd_markov(args) -> int:
     family = Family.parse(args.family)
     if args.d is None:
         raise _UsageError("markov requires a concrete degree -d")
-    p = Fraction(args.p)
+    p = args.p
     if p == 1:
         print("diverges: deflection probability 1 makes the diameter state absorbing")
         return 0
@@ -246,7 +262,7 @@ def cmd_markov(args) -> int:
 
     headers = ["state"] + [str(j) for j in range(args.D + 1)]
     rows = [
-        [str(i)] + [_frac_str(x) for x in row]
+        [str(i)] + [str(x) for x in row]
         for i, row in enumerate(chain.rows)
     ]
     notes = [""]
@@ -259,7 +275,7 @@ def cmd_markov(args) -> int:
         "d": args.d,
         "D": args.D,
         "deflect_prob": str(p),
-        "rows": [[_frac_str(x) for x in row] for row in chain.rows],
+        "rows": [[str(x) for x in row] for row in chain.rows],
         "expected_hops": {str(i): str(hops[i]) for i in range(1, args.D + 1)},
         "expected_hops_from_input": str(overall),
     }
@@ -297,8 +313,8 @@ def cmd_markov(args) -> int:
 def _add_common(sub, *, need_D=True):
     sub.add_argument("-f", "--family", required=True, help="graph family: B or K")
     if need_D:
-        sub.add_argument("-D", type=int, required=True, help="diameter D")
-    sub.add_argument("-d", type=int, default=None, help="concrete degree d")
+        sub.add_argument("-D", type=_diameter, required=True, help="diameter D")
+    sub.add_argument("-d", type=_degree, default=None, help="concrete degree d")
     sub.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"
     )
@@ -337,15 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="cross-check all formulas against the brute-force oracle")
     sp.add_argument("-f", "--family", action="append", help="restrict to one family (repeatable)")
-    sp.add_argument("-d", "--d", type=int, action="append", help="degree values (repeatable)")
-    sp.add_argument("-D", "--D", type=int, action="append", help="diameter values (repeatable)")
+    sp.add_argument("-d", "--d", type=_degree, action="append", help="degree values (repeatable)")
+    sp.add_argument("-D", "--D", type=_diameter, action="append", help="diameter values (repeatable)")
     sp.add_argument("--cap", type=int, default=None, help="vertex cap per graph")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("markov", help="absorbing distance chain and expected hops")
     _add_common(sp)
-    sp.add_argument("-p", required=True, help="deflection probability as a/b")
-    sp.add_argument("--monte-carlo", type=int, default=0, metavar="N", help="cross-check with N packets")
+    sp.add_argument("-p", type=_fraction, required=True, help="deflection probability as a/b")
+    sp.add_argument(
+        "--monte-carlo", type=_packets, default=0, metavar="N", help="cross-check with N packets (0: off)"
+    )
     sp.add_argument("--seed", type=int, default=0, help="random seed for the packet walk")
     sp.add_argument("--cap", type=int, default=None, help="vertex cap for the explicit graph")
     sp.set_defaults(func=cmd_markov)

@@ -192,13 +192,17 @@ def _enumerate_vertices(params: GraphParams) -> Iterator[Vertex]:
 
 
 def default_cap() -> int:
+    """The vertex cap from LAYERSCOPE_CAP, else DEFAULT_VERTEX_CAP; raises ValueError if invalid."""
     raw = os.environ.get(CAP_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_VERTEX_CAP
+    if raw is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def build_explicit(params: GraphParams, max_vertices: int | None = None) -> ExplicitDigraph:
@@ -247,10 +251,13 @@ def format_vertex(params: GraphParams, v: Vertex) -> str:
     return ".".join(str(s) for s in v)
 
 
+def split_symbols(text: str) -> List[int]:
+    """The symbols of a word written bare (0102) or '.'-separated (0.1.10)."""
+    if "." in text:
+        return [int(part) for part in text.split(".")]
+    return [int(ch) for ch in text]
+
+
 def parse_vertex(params: GraphParams, text: str) -> Vertex:
     """Inverse of format_vertex, with full validation."""
-    if "." in text:
-        raw = [int(p) for p in text.split(".")]
-    else:
-        raw = [int(ch) for ch in text]
-    return validate_vertex(params, raw)
+    return validate_vertex(params, split_symbols(text))

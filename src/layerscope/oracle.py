@@ -40,10 +40,6 @@ class DistanceTable:
             counts[dv] += 1
         return counts
 
-    def layer_ids(self, src: int, i: int) -> List[int]:
-        row = self.rows[src]
-        return [w for w in range(len(row)) if row[w] == i]
-
 
 def oracle_layer_counts(g: ExplicitDigraph, v: Vertex) -> List[int]:
     """|S_i*(v)| for i = 0 .. D via BFS."""
@@ -262,9 +258,11 @@ class GridSummary:
     def record(self, quantity: str, context: dict, formula, oracle) -> None:
         self.checks += 1
         if formula != oracle:
-            self.mismatches.append(
-                OracleReport(quantity, context, str(formula), str(oracle), False)
-            )
+            self.mismatch(quantity, context, formula, oracle)
+
+    def mismatch(self, quantity: str, context: dict, formula, oracle) -> None:
+        """Keep one mismatch report without counting a check."""
+        self.mismatches.append(OracleReport(quantity, context, str(formula), str(oracle), False))
 
     @property
     def ok(self) -> bool:
@@ -278,7 +276,6 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         intersection_poly_at,
         intersection_report,
         layer_star_poly,
-        unique_j0,
     )
     from .vertex_classes import enumerate_classes
 
@@ -297,16 +294,10 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         row = table.rows[v_id]
         summary.checks += n
         for z_id, z in enumerate(g.vertices):
-            if closed_distance(params, v, z) != row[z_id]:
-                summary.mismatches.append(
-                    OracleReport(
-                        "distance",
-                        {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)},
-                        str(closed_distance(params, v, z)),
-                        str(row[z_id]),
-                        False,
-                    )
-                )
+            formula = closed_distance(params, v, z)
+            if formula != row[z_id]:
+                ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
+                summary.mismatch("distance", ctx, formula, row[z_id])
 
     # layer counts for every (v, i)
     for v_id, v in enumerate(g.vertices):
@@ -315,20 +306,14 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         for i in range(D + 1):
             formula = layer_star_poly(params, v, i).evaluate(d)
             if formula != counts[i]:
-                summary.mismatches.append(
-                    OracleReport(
-                        "layer_count",
-                        {**ctx_base, "v": format_vertex(params, v), "i": i},
-                        str(formula),
-                        str(counts[i]),
-                        False,
-                    )
-                )
+                ctx = {**ctx_base, "v": format_vertex(params, v), "i": i}
+                summary.mismatch("layer_count", ctx, formula, counts[i])
 
     # intersection counts and j0 for every arc and every (i, j)
     for v_id, v in enumerate(g.vertices):
         for w_id in g.succ[v_id]:
             w = g.vertices[w_id]
+            arc = {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w)}
             row_v, row_w = table.rows[v_id], table.rows[w_id]
             hist: Dict[Tuple[int, int], int] = {}
             for z in range(n):
@@ -336,33 +321,16 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
                 hist[key] = hist.get(key, 0) + 1
             for i in range(1, D + 1):
                 report = intersection_report(params, v, w, i)
-                j0 = unique_j0(params, v, w, i)
+                j0 = report.forward_j
                 forward_js = [j for j in range(i, D + 1) if hist.get((i, j), 0) > 0]
                 summary.checks += D + 3 - i  # j0 check plus one per j in [i-1, D]
                 if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
-                    ctx = {
-                        **ctx_base,
-                        "v": format_vertex(params, v),
-                        "w": format_vertex(params, w),
-                        "i": i,
-                    }
-                    summary.mismatches.append(
-                        OracleReport("unique_j0", ctx, str(j0), str(forward_js), False)
-                    )
+                    summary.mismatch("unique_j0", {**arc, "i": i}, j0, forward_js)
                 for j in range(i - 1, D + 1):
                     formula = intersection_poly_at(report, j).evaluate(d)
                     oracle = hist.get((i, j), 0)
                     if formula != oracle:
-                        ctx = {
-                            **ctx_base,
-                            "v": format_vertex(params, v),
-                            "w": format_vertex(params, w),
-                            "i": i,
-                            "j": j,
-                        }
-                        summary.mismatches.append(
-                            OracleReport("intersection_count", ctx, str(formula), str(oracle), False)
-                        )
+                        summary.mismatch("intersection_count", {**arc, "i": i, "j": j}, formula, oracle)
 
     # class cardinalities
     observed = oracle_class_counts(g)
@@ -376,9 +344,7 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         )
     stray = set(observed) - set(enumerated)
     if stray:
-        summary.mismatches.append(
-            OracleReport("class_enumeration", ctx_base, "no stray patterns", str(sorted(stray)), False)
-        )
+        summary.mismatch("class_enumeration", ctx_base, "no stray patterns", sorted(stray))
 
     # input probabilities, transition probabilities, mean distance
     pair_hist = [0] * (D + 1)

@@ -15,9 +15,11 @@ summed over successors w of v, and P_t(i, j) weights the classes by their
 share of V. Per arc at most one j >= i contributes, so the row over
 j in [i, D] always sums to one.
 
-Symbolic transition tables use the d >= 3 intersection criteria and carry
-that validity tag; evaluation at d = 2 always re-derives the value with the
-d = 2 criteria (which differ for De Bruijn).
+One per-class kernel computes the numerator of P_t(i, j | v) over successor
+archetypes. Symbolic tables sum it under the d >= 3 intersection criteria and
+carry that validity tag; a concrete degree evaluates the same kernel in exact
+fractions, with the d = 2 criteria (which differ for De Bruijn) exactly at
+d = 2.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
-from .graphs import Family, GraphParams, Vertex, successors, vertex_count_poly
+from .graphs import Family, Vertex, vertex_count_poly
 from .layers import (
     intersection_poly_at,
     intersection_report_eval,
@@ -96,14 +98,15 @@ def mean_distance(family: Family, D: int) -> RationalFunction:
 
 
 def _successor_archetypes(
-    family: Family, pattern: Vertex
+    family: Family, pattern: Vertex, d: Optional[int] = None
 ) -> List[Tuple[Vertex, IntPolynomial]]:
     """Successor words of a class representative, with symbolic multiplicities.
 
     Appending any symbol already in the pattern gives one concrete successor;
     all remaining alphabet symbols behave identically, so they are represented
     by a single word using one fresh symbol with multiplicity d - s (De
-    Bruijn) or d + 1 - s (Kautz). Multiplicities sum to d.
+    Bruijn) or d + 1 - s (Kautz). Multiplicities sum to d. At a concrete
+    degree d the fresh word is dropped where its multiplicity is 0.
     """
     s = max(pattern) + 1
     shifted = pattern[1:]
@@ -113,17 +116,22 @@ def _successor_archetypes(
             continue
         out.append((shifted + (x,), IntPolynomial.one()))
     fresh_weight = -s if family is Family.DEBRUIJN else 1 - s
-    out.append((shifted + (s,), IntPolynomial((fresh_weight, 1))))
+    if d is None or d + fresh_weight:
+        out.append((shifted + (s,), IntPolynomial((fresh_weight, 1))))
     return out
 
 
 def _class_transition_numerator(
-    family: Family, D: int, pattern: Vertex, i: int, j: int, d2_rules: bool
+    family: Family, D: int, pattern: Vertex, i: int, j: int, d: Optional[int] = None
 ) -> IntPolynomial:
-    """sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)| as a polynomial in d."""
+    """sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)| as a polynomial in d.
+
+    Symbolic (d >= 3 criteria) when d is None; else exact at d only, under
+    the d = 2 criteria exactly when d == 2.
+    """
     num = IntPolynomial.zero()
-    for w, weight in _successor_archetypes(family, pattern):
-        report = intersection_report_eval(family, D, pattern, w, i, d2_rules)
+    for w, weight in _successor_archetypes(family, pattern, d):
+        report = intersection_report_eval(family, D, pattern, w, i, d2_rules=d == 2)
         piece = intersection_poly_at(report, j)
         if not piece.is_zero:
             num = num + weight * piece
@@ -146,30 +154,14 @@ def p_t_conditional(
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
     d = _concrete_degree(regime)
-    if d is None:
-        num = _class_transition_numerator(family, D, c.pattern, i, j, d2_rules=False)
-        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-        den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
-        return RationalFunction(num, den)
-    alphabet = d if family is Family.DEBRUIJN else d + 1
-    if c.s > alphabet:
+    if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
-    return RationalFunction.from_fraction(_p_t_class_value(family, d, D, c.pattern, i, j))
-
-
-def _p_t_class_value(
-    family: Family, d: int, D: int, pattern: Vertex, i: int, j: int
-) -> Fraction:
-    """Exact per-class transition probability at a concrete degree."""
-    params = GraphParams(family, d, D)
-    v = pattern
-    d2 = d == 2
-    layer = layer_poly_eval(family, D, v, i).evaluate(d)
-    total = 0
-    for w in successors(params, v):
-        report = intersection_report_eval(family, D, v, w, i, d2_rules=d2)
-        total += intersection_poly_at(report, j).evaluate(d)
-    return Fraction(total, (d - 1) * layer)
+    num = _class_transition_numerator(family, D, c.pattern, i, j, d)
+    layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
+    den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
+    if d is None:
+        return RationalFunction(num, den)
+    return RationalFunction.from_fraction(Fraction(num.evaluate(d), den.evaluate(d)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,7 +170,7 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
     dm1 = IntPolynomial((-1, 1))
     acc = RationalFunction.zero()
     for c in enumerate_classes(family, D):
-        num = _class_transition_numerator(family, D, c.pattern, i, j, d2_rules=False)
+        num = _class_transition_numerator(family, D, c.pattern, i, j)
         if num.is_zero:
             continue
         layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
@@ -188,22 +180,24 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
 
 @functools.lru_cache(maxsize=None)
 def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
-    """Exact P_t(i, j) at a concrete degree.
+    """Exact P_t(i, j) at a concrete degree d >= 2.
 
-    For d >= 3 this evaluates the symbolic formula; d = 2 is always re-derived
-    under the d = 2 intersection criteria, which differ for De Bruijn.
+    Sums the per-class kernel at d over the classes realizable there, under
+    the d = 2 intersection criteria exactly when d == 2 (they differ for De
+    Bruijn).
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
-    if d >= 3:
-        return _p_t_symbolic(family, D, i, j).evaluate(d)
+    if d < 2:
+        raise ValueError(f"degree d must be >= 2, got {d}")
     total = Fraction(0)
-    n = GraphParams(family, d, D).vertex_count
     for c in classes_realizable(family, D, d):
-        weight = Fraction(c.cardinality.evaluate(d), n)
-        if weight:
-            total += weight * _p_t_class_value(family, d, D, c.pattern, i, j)
-    return total
+        num = _class_transition_numerator(family, D, c.pattern, i, j, d)
+        if num.is_zero:
+            continue
+        layer = layer_poly_eval(family, D, c.pattern, i).evaluate(d)
+        total += Fraction(c.cardinality.evaluate(d) * num.evaluate(d), layer)
+    return total / ((d - 1) * vertex_count_poly(family, D).evaluate(d))
 
 
 def p_t(
@@ -212,7 +206,7 @@ def p_t(
     """P_t(i, j), class-weighted, in the requested regime.
 
     The symbolic form carries d >= 3 validity; see p_t_value for concrete
-    degrees (d = 2 dispatches to the d = 2 criteria).
+    degrees (d = 2 uses the d = 2 criteria).
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")

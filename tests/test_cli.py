@@ -140,3 +140,50 @@ def test_markov_json_payload(capsys):
 def test_unknown_family_exit_code(capsys):
     rc, _, err = run_cli(capsys, "pin", "-f", "X", "-D", "4")
     assert rc == 1
+
+
+def test_markov_rejects_unparsable_p(capsys):
+    for p in ("1/0", "abc"):
+        rc, _, err = run_cli(capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", p)
+        assert rc == 1
+        assert "error:" in err and "-p" in err
+
+
+def test_markov_rejects_single_packet(capsys):
+    rc, _, err = run_cli(
+        capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10", "--monte-carlo", "1"
+    )
+    assert rc == 1
+    assert "error:" in err and "--monte-carlo" in err
+
+
+def test_markov_rejects_negative_packets(capsys):
+    rc, _, err = run_cli(
+        capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10", "--monte-carlo", "-5"
+    )
+    assert rc == 1
+    assert "error:" in err and "--monte-carlo" in err
+
+
+def test_degree_below_two_rejected(capsys):
+    rc, out, err = run_cli(capsys, "layers", "-f", "B", "-D", "4", "--vertex", "0101", "-d", "1")
+    assert rc == 1 and out == ""
+    assert "error:" in err and "-d" in err
+    rc, _, err = run_cli(capsys, "verify", "-f", "B", "-d", "1", "-D", "2")
+    assert rc == 1 and "error:" in err
+
+
+def test_diameter_below_one_rejected(capsys):
+    rc, out, err = run_cli(capsys, "pin", "-f", "B", "-D", "0")
+    assert rc == 1 and out == ""
+    assert "error:" in err and "-D" in err
+    rc, _, err = run_cli(capsys, "pt", "-f", "K", "-D", "-1")
+    assert rc == 1 and "error:" in err
+
+
+def test_invalid_cap_env_rejected(capsys, monkeypatch):
+    for raw in ("lots", "0", "-3"):
+        monkeypatch.setenv("LAYERSCOPE_CAP", raw)
+        rc, _, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "2")
+        assert rc == 1
+        assert "error:" in err and "LAYERSCOPE_CAP" in err

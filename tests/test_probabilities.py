@@ -31,7 +31,7 @@ from layerscope.probabilities import (
     p_t_value,
     transition_table,
 )
-from layerscope.vertex_classes import canonical_pattern, enumerate_classes
+from layerscope.vertex_classes import canonical_pattern, classes_realizable, enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
 
@@ -190,6 +190,23 @@ def test_p_t_d2_rederivation_consistent():
                 assert p_t_value(B, 2, D, i, j) == p_t(B, D, i, j).evaluate(2)
 
 
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_p_t_concrete_kernel_matches_symbolic(family, d):
+    # A concrete degree sums the per-class kernel in fractions rather than
+    # evaluating the symbolic form, so the two agree by computation, not by
+    # construction: check every cell and every realizable class.
+    for D in range(1, 6):
+        classes = classes_realizable(family, D, d)
+        for i in range(1, D + 1):
+            for j in range(i, D + 1):
+                assert p_t_value(family, d, D, i, j) == p_t(family, D, i, j).evaluate(d)
+                for c in classes:
+                    symbolic = p_t_conditional(family, D, c, i, j).evaluate(d)
+                    got = p_t_conditional(family, D, c, i, j, regime=d)
+                    assert got == RationalFunction.from_fraction(symbolic), (D, c.pattern, i, j)
+
+
 def test_p_t_regime_handling():
     assert p_t(K, 4, 1, 2, regime=3).evaluate(0) == Fraction(1, 9)
     with pytest.raises(RegimeRequired):
@@ -200,6 +217,8 @@ def test_p_t_regime_handling():
         p_t(K, 4, 3, 2)
     with pytest.raises(InvalidRange):
         p_t(K, 4, 0, 2)
+    with pytest.raises(ValueError):
+        p_t_value(B, 1, 3, 1, 2)
 
 
 def test_transition_table_normalized():
