@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import LayerscopeError, TooLarge
+from .errors import AlphabetTooSmall, LayerscopeError, TooLarge
 from .graphs import Family, GraphParams, build_explicit, split_symbols, validate_vertex
 from .layers import layer_poly_eval
 from .oracle import simulate_walk_hops, verify_grid
@@ -30,6 +30,7 @@ from .probabilities import (
     p_t,
     p_t_value,
 )
+from .vertex_classes import canonical_pattern
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +63,7 @@ def _int_arg(rule: str, ok):
 _degree = _int_arg(">= 2", lambda v: v >= 2)
 _diameter = _int_arg(">= 1", lambda v: v >= 1)
 _packets = _int_arg("0 (off) or >= 2", lambda v: v == 0 or v >= 2)
+_cap = _int_arg(">= 1", lambda v: v >= 1)
 
 
 def _fraction(text: str) -> Fraction:
@@ -114,15 +116,22 @@ def cmd_layers(args) -> int:
     D = args.D
     if (args.vertex is None) == (args.cls is None):
         raise _UsageError("layers needs exactly one of --vertex or --class")
+    alphabet = None
+    if args.d is not None:
+        alphabet = args.d if family is Family.DEBRUIJN else args.d + 1
     if args.cls is not None:
         word = split_symbols(args.cls)
+        if canonical_pattern(word) != tuple(word):
+            raise _UsageError(f"class {args.cls} is not in restricted-growth form (e.g. 0102)")
+        needed = len(set(word))
+        if alphabet is not None and needed > alphabet:
+            raise AlphabetTooSmall(
+                f"class {args.cls} needs {needed} symbols, alphabet has {alphabet} at d={args.d}"
+            )
         v = _check_word(family, D, word, None)
         label = args.cls
     else:
         word = split_symbols(args.vertex)
-        alphabet = None
-        if args.d is not None:
-            alphabet = args.d if family is Family.DEBRUIJN else args.d + 1
         v = _check_word(family, D, word, alphabet)
         label = args.vertex
     indices = [args.i] if args.i is not None else list(range(D + 1))
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-f", "--family", action="append", help="restrict to one family (repeatable)")
     sp.add_argument("-d", "--d", type=_degree, action="append", help="degree values (repeatable)")
     sp.add_argument("-D", "--D", type=_diameter, action="append", help="diameter values (repeatable)")
-    sp.add_argument("--cap", type=int, default=None, help="vertex cap per graph")
+    sp.add_argument("--cap", type=_cap, default=None, help="vertex cap per graph")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("markov", help="absorbing distance chain and expected hops")
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--monte-carlo", type=_packets, default=0, metavar="N", help="cross-check with N packets (0: off)"
     )
     sp.add_argument("--seed", type=int, default=0, help="random seed for the packet walk")
-    sp.add_argument("--cap", type=int, default=None, help="vertex cap for the explicit graph")
+    sp.add_argument("--cap", type=_cap, default=None, help="vertex cap for the explicit graph")
     sp.set_defaults(func=cmd_markov)
 
     return parser

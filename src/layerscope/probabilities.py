@@ -15,11 +15,15 @@ summed over successors w of v, and P_t(i, j) weights the classes by their
 share of V. Per arc at most one j >= i contributes, so the row over
 j in [i, D] always sums to one.
 
-One per-class kernel computes the numerator of P_t(i, j | v) over successor
-archetypes. Symbolic tables sum it under the d >= 3 intersection criteria and
-carry that validity tag; a concrete degree evaluates the same kernel in exact
-fractions, with the d = 2 criteria (which differ for De Bruijn) exactly at
-d = 2.
+One per-class row kernel gives the numerators of P_t(i, j | v) for every
+j >= i at once, from one intersection report per successor archetype (the
+report of an arc at i does not depend on j). The denominator depends on a
+class only through its layer polynomial at i, so the class sums group the
+numerators by that polynomial, cached per (family, D, i, d), and build one
+fraction per distinct layer polynomial instead of one per class. Symbolic
+tables sum under the d >= 3 intersection criteria and carry that validity
+tag; a concrete degree evaluates the same sums in exact fractions, with the
+d = 2 criteria (which differ for De Bruijn) exactly at d = 2.
 """
 
 from __future__ import annotations
@@ -31,11 +35,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
 from .graphs import Family, Vertex, vertex_count_poly
-from .layers import (
-    intersection_poly_at,
-    intersection_report_eval,
-    layer_poly_eval,
-)
+from .layers import intersection_report_eval, layer_poly_eval
 from .polynomials import IntPolynomial, RationalFunction
 from .vertex_classes import VertexClass, classes_realizable, enumerate_classes
 
@@ -121,21 +121,47 @@ def _successor_archetypes(
     return out
 
 
-def _class_transition_numerator(
-    family: Family, D: int, pattern: Vertex, i: int, j: int, d: Optional[int] = None
-) -> IntPolynomial:
-    """sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)| as a polynomial in d.
+def _class_transition_row(
+    family: Family, D: int, pattern: Vertex, i: int, d: Optional[int] = None
+) -> Dict[int, IntPolynomial]:
+    """{j: sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)|} over j >= i, as polynomials in d.
 
-    Symbolic (d >= 3 criteria) when d is None; else exact at d only, under
-    the d = 2 criteria exactly when d == 2.
+    One intersection report per successor archetype: only its forward j0 is
+    at or above i, so each archetype adds to at most one j. Symbolic (d >= 3
+    criteria) when d is None; else exact at d only, under the d = 2 criteria
+    exactly when d == 2.
     """
-    num = IntPolynomial.zero()
+    row: Dict[int, IntPolynomial] = {}
     for w, weight in _successor_archetypes(family, pattern, d):
         report = intersection_report_eval(family, D, pattern, w, i, d2_rules=d == 2)
-        piece = intersection_poly_at(report, j)
-        if not piece.is_zero:
-            num = num + weight * piece
-    return num
+        j = report.forward_j
+        if j is not None:
+            row[j] = row.get(j, IntPolynomial.zero()) + weight * report.forward.to_poly()
+    return row
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_sums(
+    family: Family, D: int, i: int, d: Optional[int] = None
+) -> Dict[int, Dict[IntPolynomial, IntPolynomial]]:
+    """{j: {layer polynomial at i: sum_c |c| * row_c[j]}} over the classes.
+
+    The P_t(i, j | v) denominator (d - 1) |S_i*(v)| depends on a class only
+    through its layer polynomial, so numerators sharing one are summed as
+    integer polynomials first. Symbolic over every class when d is None;
+    else over the classes realizable at d, with the kernel at d.
+    """
+    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+    sums: Dict[int, Dict[IntPolynomial, IntPolynomial]] = {}
+    for c in classes:
+        row = _class_transition_row(family, D, c.pattern, i, d)
+        if not row:
+            continue
+        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
+        for j, num in row.items():
+            by_layer = sums.setdefault(j, {})
+            by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + c.cardinality * num
+    return sums
 
 
 def p_t_conditional(
@@ -156,7 +182,7 @@ def p_t_conditional(
     d = _concrete_degree(regime)
     if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
-    num = _class_transition_numerator(family, D, c.pattern, i, j, d)
+    num = _class_transition_row(family, D, c.pattern, i, d).get(j, IntPolynomial.zero())
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
     den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
     if d is None:
@@ -166,15 +192,17 @@ def p_t_conditional(
 
 @functools.lru_cache(maxsize=None)
 def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
+    """Symbolic P_t(i, j) under the d >= 3 criteria.
+
+    One canonical rational function per distinct layer polynomial at i (a few
+    dozen at most) rather than one per class; the canonical form is unique,
+    so the order of summation does not show in the result.
+    """
     total_poly = vertex_count_poly(family, D)
     dm1 = IntPolynomial((-1, 1))
     acc = RationalFunction.zero()
-    for c in enumerate_classes(family, D):
-        num = _class_transition_numerator(family, D, c.pattern, i, j)
-        if num.is_zero:
-            continue
-        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-        acc = acc + RationalFunction(c.cardinality * num, dm1 * layer * total_poly)
+    for layer, num in _transition_sums(family, D, i).get(j, {}).items():
+        acc = acc + RationalFunction(num, dm1 * layer * total_poly)
     return acc
 
 
@@ -182,21 +210,17 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
 def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     """Exact P_t(i, j) at a concrete degree d >= 2.
 
-    Sums the per-class kernel at d over the classes realizable there, under
-    the d = 2 intersection criteria exactly when d == 2 (they differ for De
-    Bruijn).
+    Evaluates the per-layer sums of the row kernel at d, over the classes
+    realizable there, under the d = 2 intersection criteria exactly when
+    d == 2 (they differ for De Bruijn).
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
     if d < 2:
         raise ValueError(f"degree d must be >= 2, got {d}")
     total = Fraction(0)
-    for c in classes_realizable(family, D, d):
-        num = _class_transition_numerator(family, D, c.pattern, i, j, d)
-        if num.is_zero:
-            continue
-        layer = layer_poly_eval(family, D, c.pattern, i).evaluate(d)
-        total += Fraction(c.cardinality.evaluate(d) * num.evaluate(d), layer)
+    for layer, num in _transition_sums(family, D, i, d).get(j, {}).items():
+        total += Fraction(num.evaluate(d), layer.evaluate(d))
     return total / ((d - 1) * vertex_count_poly(family, D).evaluate(d))
 
 

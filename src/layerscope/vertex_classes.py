@@ -14,6 +14,7 @@ which correctly evaluates to 0 whenever the concrete alphabet is too small.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -36,6 +37,7 @@ def canonical_pattern(v: Vertex) -> Pattern:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def class_cardinality_poly(family: Family, s: int) -> IntPolynomial:
     """Number of vertices sharing one pattern with s distinct symbols, as a polynomial in d."""
     start = 0 if family is Family.DEBRUIJN else 1
@@ -46,7 +48,7 @@ def class_cardinality_poly(family: Family, s: int) -> IntPolynomial:
     return poly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexClass:
     pattern: Pattern
     family: Family
@@ -86,22 +88,24 @@ def _patterns(family: Family, D: int) -> List[Pattern]:
     return out
 
 
-def enumerate_classes(family: Family, D: int) -> List[VertexClass]:
+@functools.lru_cache(maxsize=None)
+def enumerate_classes(family: Family, D: int) -> Tuple[VertexClass, ...]:
     """All classes for the family and diameter, in lexicographic pattern order.
 
     Patterns with more symbols than a given concrete alphabet are included;
-    their cardinality polynomial vanishes there.
+    their cardinality polynomial vanishes there. The result is cached per
+    (family, D) and shared by every caller, hence a tuple.
     """
     if D < 1:
         raise ValueError(f"diameter D must be >= 1, got {D}")
-    return [
+    return tuple(
         VertexClass(
             pattern=p,
             family=family,
             cardinality=class_cardinality_poly(family, max(p) + 1),
         )
         for p in _patterns(family, D)
-    ]
+    )
 
 
 def n_s_counts(family: Family, D: int) -> Dict[int, int]:
@@ -124,6 +128,6 @@ def representative(c: VertexClass, params: GraphParams) -> Vertex:
 
 
 def classes_realizable(family: Family, D: int, d: int) -> List[VertexClass]:
-    """Classes with at least one vertex at concrete degree d."""
+    """Classes with at least one vertex at concrete degree d, in a new list."""
     alphabet = d if family is Family.DEBRUIJN else d + 1
     return [c for c in enumerate_classes(family, D) if c.s <= alphabet]

@@ -34,6 +34,19 @@ def test_layers_single_index_and_value(capsys):
     assert "12" in out  # d^4 - d^2 at d = 2
 
 
+def test_layers_class_needs_alphabet_of_d(capsys):
+    # a class with more symbols than the alphabet at d has no vertex there
+    for family, D, cls, d in [("K", "4", "0123", "2"), ("B", "3", "012", "2")]:
+        rc, out, err = run_cli(capsys, "layers", "-f", family, "-D", D, "--class", cls, "-d", d)
+        assert rc == 1 and out == ""
+        assert "error:" in err and cls in err
+    rc, out, _ = run_cli(capsys, "layers", "-f", "K", "-D", "4", "--class", "0123", "-d", "3", "-i", "4")
+    assert rc == 0 and "68" in out  # d^4 - d^2 - d - 1 at d = 3
+    # the symbol count is read off the restricted-growth form, so require it
+    rc, out, err = run_cli(capsys, "layers", "-f", "B", "-D", "3", "--class", "555", "-d", "5")
+    assert rc == 1 and out == "" and "restricted-growth" in err
+
+
 def test_layers_usage_and_parse_errors(capsys):
     rc, _, err = run_cli(capsys, "layers", "-f", "K", "-D", "4")
     assert rc == 1 and "error" in err
@@ -187,3 +200,20 @@ def test_invalid_cap_env_rejected(capsys, monkeypatch):
         rc, _, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "2")
         assert rc == 1
         assert "error:" in err and "LAYERSCOPE_CAP" in err
+
+
+def test_verify_rejects_nonpositive_cap(capsys):
+    for cap in ("0", "-1"):
+        rc, out, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "2", "--cap", cap)
+        assert rc == 1 and out == ""
+        assert "error:" in err and "--cap" in err
+
+
+def test_markov_rejects_nonpositive_cap(capsys):
+    for cap in ("0", "-1"):
+        rc, out, err = run_cli(
+            capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10",
+            "--monte-carlo", "100", "--cap", cap,
+        )
+        assert rc == 1 and out == ""
+        assert "error:" in err and "--cap" in err

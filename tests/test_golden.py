@@ -1,0 +1,30 @@
+"""Byte-identical CLI output: SHA-256 digests of stdout on a fixed golden set.
+
+The digests pin canonical strings, JSON and CSV exactly, so a change to how
+the probabilities are summed or formatted shows here even when every value
+test still passes. Record new digests only for an intended output change.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from layerscope.cli import main
+
+GOLDEN = {
+    "pt -f B -D 5": "9d76d7e955a3bd724605a0a0174bc42047f7229398d35607e635bc867aac87c7",
+    "pt -f K -D 5 -d 2 --format json": "8b82c668b423232104697b294c8504fde41929114cf94180810cbe4f54b2d229",
+    "pt -f B -D 5 -d 3 --format csv": "1db7df4f42e56fe266e29cd097d60a9235fec45d6e67edc92d59478ac53add67",
+    "pin -f K -D 6": "8acecb71d7e64fc4e09c82103969bdfb94008179902595212c96d7f0f7f6147c",
+    "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",
+    "verify -f B -d 2 -D 5": "c6e9d21a896375004724113b1dc343b6f150356bf4bb055a9edb13d6fa8886ab",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_stdout_digest(capsys, command):
+    rc = main(shlex.split(command))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

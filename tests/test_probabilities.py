@@ -9,12 +9,13 @@ these quantities and does not match the process; test_acceptance.py carries it
 as a deliberately red fixture.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 from layerscope.errors import ChainDiverges, InvalidRange, RegimeRequired
-from layerscope.graphs import Family, GraphParams, build_explicit
+from layerscope.graphs import Family, GraphParams, build_explicit, vertex_count_poly
 from layerscope.oracle import oracle_transition_table
 from layerscope.polynomials import RationalFunction
 from layerscope.probabilities import (
@@ -205,6 +206,67 @@ def test_p_t_concrete_kernel_matches_symbolic(family, d):
                     symbolic = p_t_conditional(family, D, c, i, j).evaluate(d)
                     got = p_t_conditional(family, D, c, i, j, regime=d)
                     assert got == RationalFunction.from_fraction(symbolic), (D, c.pattern, i, j)
+
+
+@pytest.mark.parametrize("family", [B, K])
+def test_p_t_grouped_sum_matches_class_by_class_sum(family):
+    # p_t sums numerators per layer polynomial before canonicalizing; the
+    # plain definition adds one canonical rational function per class.
+    for D in range(1, 6):
+        classes = enumerate_classes(family, D)
+        total = RationalFunction.from_poly(vertex_count_poly(family, D))
+        for i in range(1, D + 1):
+            for j in range(i, D + 1):
+                acc = RationalFunction.zero()
+                for c in classes:
+                    weight = RationalFunction.from_poly(c.cardinality)
+                    acc = acc + weight * p_t_conditional(family, D, c, i, j)
+                assert p_t(family, D, i, j) == acc / total, (D, i, j)
+
+
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_p_t_value_matches_class_by_class_fractions(family, d):
+    for D in range(1, 6):
+        classes = classes_realizable(family, D, d)
+        total = vertex_count_poly(family, D).evaluate(d)
+        for i in range(1, D + 1):
+            for j in range(i, D + 1):
+                acc = Fraction(0)
+                for c in classes:
+                    cond = p_t_conditional(family, D, c, i, j, regime=d).evaluate(d)
+                    acc += c.cardinality.evaluate(d) * cond
+                assert p_t_value(family, d, D, i, j) == acc / total, (D, i, j)
+
+
+def test_p_t_table_b6_matches_sympy():
+    # An independent field: sympy sums the per-class terms with its own gcd,
+    # and sympy.cancel must find the canonical forms already in lowest terms.
+    sympy = pytest.importorskip("sympy")
+    field, x = sympy.field("d", sympy.ZZ)
+    d = sympy.Symbol("d")
+
+    @functools.lru_cache(maxsize=None)
+    def to_field(p):
+        return sum((c * x**k for k, c in enumerate(p.coeffs)), field.zero)
+
+    def to_poly(p):
+        return sympy.Poly(list(reversed(p.coeffs)), d)
+
+    D = 6
+    classes = enumerate_classes(B, D)
+    total = to_field(vertex_count_poly(B, D))
+    for i in range(1, D + 1):
+        for j in range(i, D + 1):
+            acc = field.zero
+            for c in classes:
+                cond = p_t_conditional(B, D, c, i, j)
+                if not cond.is_zero:
+                    acc += to_field(c.cardinality) * to_field(cond.num) / to_field(cond.den)
+            got = p_t(B, D, i, j)
+            assert acc / total == to_field(got.num) / to_field(got.den), (i, j)
+            num, den = sympy.fraction(sympy.cancel(to_poly(got.num).as_expr() / to_poly(got.den).as_expr()))
+            assert (sympy.Poly(num, d), sympy.Poly(den, d)) == (to_poly(got.num), to_poly(got.den)), (i, j)
 
 
 def test_p_t_regime_handling():

@@ -121,3 +121,28 @@ def test_cardinality_poly_shapes():
     # too many symbols for the alphabet evaluates to zero
     assert class_cardinality_poly(B, 3).evaluate(2) == 0
     assert class_cardinality_poly(K, 4).evaluate(2) == 0
+
+
+def test_enumerate_classes_shares_one_immutable_tuple():
+    first = enumerate_classes(K, 4)
+    assert isinstance(first, tuple)
+    assert enumerate_classes(K, 4) is first
+    with pytest.raises(AttributeError):
+        first[0].pattern = (0, 1, 0, 2)
+
+
+def test_classes_realizable_returns_a_list_the_caller_owns():
+    got = classes_realizable(K, 4, 2)
+    assert isinstance(got, list) and got is not classes_realizable(K, 4, 2)
+    got.clear()
+    assert len(classes_realizable(K, 4, 2)) == 4
+    assert len(enumerate_classes(K, 4)) == 5
+
+
+def test_cardinality_poly_memoized():
+    for family, s, text in [(B, 1, "d"), (B, 3, "d^3 - 3*d^2 + 2*d"), (K, 2, "d^2 + d")]:
+        first = class_cardinality_poly(family, s)
+        assert class_cardinality_poly(family, s) is first
+        assert str(first) == text
+    for c in enumerate_classes(B, 5):
+        assert c.cardinality is class_cardinality_poly(B, c.s)
