@@ -65,6 +65,7 @@ from .probabilities import (
     mean_distance,
     p_in,
     p_in_conditional,
+    p_in_value,
     p_t,
     p_t_conditional,
     p_t_value,

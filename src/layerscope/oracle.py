@@ -9,6 +9,7 @@ equality (verify_grid).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -30,9 +31,6 @@ class DistanceTable:
     def __init__(self, g: ExplicitDigraph):
         self.g = g
         self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
-
-    def dist(self, u: int, w: int) -> int:
-        return self.rows[u][w]
 
     def layer_counts(self, src: int) -> List[int]:
         counts = [0] * (self.g.params.D + 1)
@@ -171,8 +169,13 @@ def simulate_walk_hops(
     At each hop the packet is deflected with probability deflect_prob to a
     uniform out-link other than the unique shortest-path successor, else it
     follows the shortest path. Deterministic for a fixed seed.
+
+    Costs n^2 bytes for the distance table (APSP) plus n^2 bytes of hop index
+    (one successor index per ordered pair, twice that from degree 256 on), and
+    O(n) Python objects.
     """
     import random
+    from array import array
 
     rng = random.Random(seed)
     if table is None:
@@ -182,24 +185,33 @@ def simulate_walk_hops(
     n = len(g.vertices)
     p = float(deflect_prob)
 
-    # shortest-path successor and deflection alternatives for every (u, z)
-    next_hop: List[List[int]] = [[0] * n for _ in range(n)]
-    alternatives: List[List[tuple]] = [[()] * n for _ in range(n)]
-    for u in range(n):
-        ru = rows[u]
-        for z in range(n):
-            if u == z:
-                continue
-            want = ru[z] - 1
-            wp = -1
-            alts = []
-            for w in succ[u]:
-                if rows[w][z] == want and wp < 0:
-                    wp = w
-                else:
-                    alts.append(w)
-            next_hop[u][z] = wp
-            alternatives[u][z] = tuple(alts)
+    # hop_rows[u][z] is the index in succ[u] of the shortest-path successor
+    # toward z. Per successor, a mask marks the z where its distance is u's
+    # minus one (u's own 0 becomes 255, which no distance equals); the masks
+    # add up weighted by index, in lanes that can hold d, so counts never carry.
+    decrement, is_zero = bytes([255]) + bytes(range(255)), bytes([1]) + bytes(255)
+    code = next(c for c in "BHILQ" if g.params.d < 256 ** array(c).itemsize)
+    width = array(code).itemsize
+    lanes = bytearray(n * width)
+    all_lanes = (256 ** (width * n) - 1) // (256**width - 1)  # 1 in every lane
+    hop_rows = []
+    for u, succ_u in enumerate(succ):
+        target = int.from_bytes(rows[u].translate(decrement), "big")
+        count = hop = 0
+        for k, w in enumerate(succ_u):
+            diff = target ^ int.from_bytes(rows[w], "big")
+            lanes[width - 1 :: width] = diff.to_bytes(n, "big").translate(is_zero)
+            mask = int.from_bytes(lanes, "big")
+            count += mask
+            hop += k * mask
+        if count != all_lanes ^ (1 << 8 * width * (n - 1 - u)):
+            raise AssertionError(f"vertex {u}: not one shortest-path successor per destination")
+        hop_rows.append(array(code, hop.to_bytes(n * width, "big")))
+        if sys.byteorder == "little":
+            hop_rows[-1].byteswap()
+    # a deflection takes the k-th of the d - 1 out-links other than h; choice()
+    # over this range draws k exactly as a choice among those links would
+    others = range(g.params.d - 1)
 
     total = 0.0
     total_sq = 0.0
@@ -213,10 +225,12 @@ def simulate_walk_hops(
             z += 1
         hops = 0
         while u != z:
+            h = hop_rows[u][z]
             if p and rand() < p:
-                u = choice(alternatives[u][z])
+                k = choice(others)
+                u = succ[u][k + (k >= h)]
             else:
-                u = next_hop[u][z]
+                u = succ[u][h]
             hops += 1
         total += hops
         total_sq += hops * hops
@@ -354,17 +368,13 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
             pair_hist[dv] += 1
             total_dist += dv
     pairs = n * (n - 1)
+    p_in = {i: prob.p_in_value(params.family, d, D, i) for i in range(1, D + 1)}
     for i in range(1, D + 1):
-        summary.record(
-            "p_in",
-            {**ctx_base, "i": i},
-            prob.p_in(params.family, D, i).evaluate(d),
-            Fraction(pair_hist[i], pairs),
-        )
+        summary.record("p_in", {**ctx_base, "i": i}, p_in[i], Fraction(pair_hist[i], pairs))
     summary.record(
         "mean_distance",
         ctx_base,
-        prob.mean_distance(params.family, D).evaluate(d),
+        sum(i * p for i, p in p_in.items()),
         Fraction(total_dist, pairs),
     )
 

@@ -2,7 +2,9 @@
 
 Input probability: P_in(i) is the chance that a uniform ordered pair of
 distinct vertices is at distance i. Averaging the layer polynomial over the
-vertex classes gives a rational function of d valid for every d >= 2.
+vertex classes gives a rational function of d valid for every d >= 2; class
+sizes are summed per distinct layer polynomial first, and a concrete degree
+sums only the classes realizable there.
 
 Transition probability: a packet at v, destined to z at distance i, is
 deflected through a uniform choice among the d - 1 out-links other than the
@@ -62,17 +64,42 @@ def _concrete_degree(regime: Regime) -> Optional[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _layer_sums(
+    family: Family, D: int, i: int, d: Optional[int] = None
+) -> Dict[IntPolynomial, IntPolynomial]:
+    """{layer polynomial at i: sum_c |c|} over the classes sharing it.
+
+    Over every class when d is None; else over the classes realizable at d.
+    """
+    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+    sums: Dict[IntPolynomial, IntPolynomial] = {}
+    for c in classes:
+        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
+        sums[layer] = sums.get(layer, IntPolynomial.zero()) + c.cardinality
+    return sums
+
+
+@functools.lru_cache(maxsize=None)
 def p_in(family: Family, D: int, i: int) -> RationalFunction:
     """P_in(i) as a canonical rational function of d, valid for every d >= 2."""
     if not 1 <= i <= D:
         raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
     num = IntPolynomial.zero()
-    for c in enumerate_classes(family, D):
-        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-        num = num + c.cardinality * layer
+    for layer, size in _layer_sums(family, D, i).items():
+        num = num + size * layer
     total = vertex_count_poly(family, D)
     den = total * (total - IntPolynomial.one())
     return RationalFunction(num, den)
+
+
+def p_in_value(family: Family, d: int, D: int, i: int) -> Fraction:
+    """Exact P_in(i) at a concrete degree d >= 2, over the classes realizable there."""
+    if not 1 <= i <= D:
+        raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
+    sums = _layer_sums(family, D, i, d)
+    pairs = sum(layer.evaluate(d) * size.evaluate(d) for layer, size in sums.items())
+    n = vertex_count_poly(family, D).evaluate(d)
+    return Fraction(pairs, n * (n - 1))
 
 
 def p_in_conditional(family: Family, D: int, c: VertexClass, i: int) -> RationalFunction:
@@ -355,7 +382,7 @@ class DeflectionChain:
     rows: Tuple[Tuple[Fraction, ...], ...]
 
     def start_from_input_probabilities(self) -> Dict[int, Fraction]:
-        return {i: p_in(self.family, self.D, i).evaluate(self.d) for i in range(1, self.D + 1)}
+        return {i: p_in_value(self.family, self.d, self.D, i) for i in range(1, self.D + 1)}
 
 
 def build_chain(family: Family, d: int, D: int, deflect_prob) -> DeflectionChain:

@@ -27,6 +27,7 @@ from layerscope.probabilities import (
     mean_distance,
     p_in,
     p_in_conditional,
+    p_in_value,
     p_t,
     p_t_conditional,
     p_t_value,
@@ -71,6 +72,22 @@ def test_p_in_rows_sum_to_one_symbolically(family, D):
     for i in range(1, D + 1):
         acc = acc + p_in(family, D, i)
     assert acc == RationalFunction.one()
+
+
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_p_in_value_matches_symbolic_and_class_by_class(family, d):
+    # p_in and p_in_value sum class sizes per layer polynomial; the plain
+    # definition adds one conditional probability per realizable class.
+    for D in range(1, 7):
+        classes = classes_realizable(family, D, d)
+        total = vertex_count_poly(family, D).evaluate(d)
+        for i in range(1, D + 1):
+            acc = Fraction(0)
+            for c in classes:
+                acc += c.cardinality.evaluate(d) * p_in_conditional(family, D, c, i).evaluate(d)
+            value = p_in_value(family, d, D, i)
+            assert value == acc / total == p_in(family, D, i).evaluate(d), (D, i)
 
 
 def test_input_table_normalized():
