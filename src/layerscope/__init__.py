@@ -46,8 +46,6 @@ from .layers import (
     intersection_nonempty,
     intersection_report,
     layer_star_poly,
-    s_contains,
-    s_ki_nonempty,
     unique_j0,
 )
 from .polynomials import IntPolynomial, RationalFunction

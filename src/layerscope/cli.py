@@ -192,8 +192,6 @@ def cmd_pt(args) -> int:
     ]
     if not pairs:
         raise _UsageError("empty (i, j) selection")
-    if args.symbolic and args.d is not None:
-        raise _UsageError("--symbolic and a concrete -d are mutually exclusive")
     symbolic = args.d is None
     if args.format == "csv":
         headers = ["i", "j", "formula"] + ([] if symbolic else ["value_at_d"])
@@ -349,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("-i", type=int, default=None)
     sp.add_argument("-j", type=int, default=None)
-    sp.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="force the symbolic d>=3 formulas (default when -d is absent)",
-    )
     sp.set_defaults(func=cmd_pt)
 
     sp = subs.add_parser("meandist", help="exact mean distance")

@@ -66,11 +66,6 @@ def walk_sets_meet(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int
     return walk_set_contains(family, D, v, k, v2, i)
 
 
-def s_contains(params: GraphParams, v: Vertex, k: int, i: int, v2: Optional[Vertex] = None) -> bool:
-    """S_k(v) subseteq S_i(v') with v' defaulting to v itself."""
-    return walk_set_contains(params.family, params.D, v, k, v2 if v2 is not None else v, i)
-
-
 def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool:
     """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
     disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
@@ -84,10 +79,6 @@ def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool
         if walk_set_contains(family, D, v, k, v, j):
             return False
     return True
-
-
-def s_ki_nonempty(params: GraphParams, v: Vertex, k: int, i: int) -> bool:
-    return sublayer_nonempty(params.family, params.D, v, k, i)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ equality (verify_grid).
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -18,7 +19,6 @@ from .graphs import (
     ExplicitDigraph,
     Family,
     GraphParams,
-    Vertex,
     bfs_distances,
     build_explicit,
     format_vertex,
@@ -26,50 +26,30 @@ from .graphs import (
 
 
 class DistanceTable:
-    """All-pairs BFS distances for one explicit digraph (one bytearray row per source)."""
+    """All-pairs BFS distances for one explicit digraph (one bytearray row per source).
+
+    Every BFS quantity the oracle checks is read off these rows with whole-row
+    operations: layer sizes by `layer_counts`, arc intersections by
+    `arc_histogram`.
+    """
 
     def __init__(self, g: ExplicitDigraph):
         self.g = g
         self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
 
     def layer_counts(self, src: int) -> List[int]:
-        counts = [0] * (self.g.params.D + 1)
-        for dv in self.rows[src]:
-            counts[dv] += 1
-        return counts
+        """|S_i*(v)| for i = 0 .. D, where v has id src."""
+        row = self.rows[src]
+        return [row.count(i) for i in range(self.g.params.D + 1)]
 
-
-def oracle_layer_counts(g: ExplicitDigraph, v: Vertex) -> List[int]:
-    """|S_i*(v)| for i = 0 .. D via BFS."""
-    counts = [0] * (g.params.D + 1)
-    for dv in bfs_distances(g, g.index_of(v)):
-        counts[dv] += 1
-    return counts
-
-
-def oracle_intersection(g: ExplicitDigraph, v: Vertex, w: Vertex, i: int, j: int) -> int:
-    """|S_i*(v) cap S_j*(w)| by intersecting BFS layers."""
-    dv = bfs_distances(g, g.index_of(v))
-    dw = bfs_distances(g, g.index_of(w))
-    return sum(1 for a, b in zip(dv, dw) if a == i and b == j)
-
-
-def oracle_p_in(g: ExplicitDigraph, i: int) -> Fraction:
-    """Probability that a uniform ordered pair of distinct vertices is at distance i."""
-    n = len(g.vertices)
-    total = 0
-    for src in range(n):
-        row = bfs_distances(g, src)
-        total += sum(1 for dv in row if dv == i)
-    return Fraction(total, n * (n - 1))
+    def arc_histogram(self, v_id: int, w_id: int) -> Counter:
+        """|S_i*(v) cap S_j*(w)| keyed by (i, j); absent keys count 0."""
+        return Counter(zip(self.rows[v_id], self.rows[w_id]))
 
 
 def oracle_mean_distance(g: ExplicitDigraph) -> Fraction:
     n = len(g.vertices)
-    total = 0
-    for src in range(n):
-        total += sum(bfs_distances(g, src))
-    return Fraction(total, n * (n - 1))
+    return Fraction(sum(map(sum, DistanceTable(g).rows)), n * (n - 1))
 
 
 def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] = None) -> Dict[Tuple[int, int], Fraction]:
@@ -77,51 +57,32 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
 
     For each ordered pair (v, z) at distance i, the deflected link is uniform
     over the d - 1 successors of v other than the one on the unique shortest
-    path to z; each landing distance j is counted.
+    path to z; each landing distance j is counted. Summed over the successors
+    w of v, the arc histograms count those landings at every j >= i, and the
+    landings at i - 1 must number exactly |S_i*(v)|: one shortest-path
+    successor per destination, else AssertionError.
     """
     params = g.params
     D, d = params.D, params.d
     n = len(g.vertices)
     if table is None:
         table = DistanceTable(g)
-    rows = table.rows
     acc: Dict[Tuple[int, int], Fraction] = {
         (i, j): Fraction(0) for i in range(1, D + 1) for j in range(i, D + 1)
     }
-    for v_id in range(n):
-        row_v = rows[v_id]
-        succ_rows = [rows[w_id] for w_id in g.succ[v_id]]
-        layer_sizes = [0] * (D + 1)
-        for dv in row_v:
-            layer_sizes[dv] += 1
-        # per-(i, j) integer counts for this source; common denominator |S_i*(v)|
-        counts = [[0] * (D + 2) for _ in range(D + 1)]
-        for z_id in range(n):
-            i = row_v[z_id]
-            if i == 0:
-                continue
-            on_path = 0
-            c = counts[i]
-            for srow in succ_rows:
-                j = srow[z_id]
-                if j == i - 1 and not on_path:
-                    on_path = 1  # the unique shortest-path successor is not a deflection
-                    continue
-                c[j] += 1
-            assert on_path, "no shortest-path successor found"
+    for v_id, succ_v in enumerate(g.succ):
+        hist: Counter = Counter()
+        for w_id in succ_v:
+            hist.update(table.arc_histogram(v_id, w_id))
+        sizes = table.layer_counts(v_id)
         for i in range(1, D + 1):
-            size = layer_sizes[i]
-            if size == 0:
-                continue
+            if hist[(i, i - 1)] != sizes[i]:
+                raise AssertionError(f"vertex {v_id}: not one shortest-path successor per destination")
             for j in range(i, D + 1):
-                if counts[i][j]:
-                    acc[(i, j)] += Fraction(counts[i][j], size)
+                if hist[(i, j)]:
+                    acc[(i, j)] += Fraction(hist[(i, j)], sizes[i])
     scale = Fraction(1, n * (d - 1))
     return {key: val * scale for key, val in acc.items()}
-
-
-def oracle_p_t(g: ExplicitDigraph, i: int, j: int) -> Fraction:
-    return oracle_transition_table(g)[(i, j)]
 
 
 def oracle_class_counts(g: ExplicitDigraph) -> Dict[Tuple[int, ...], int]:
@@ -314,8 +275,8 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
                 summary.mismatch("distance", ctx, formula, row[z_id])
 
     # layer counts for every (v, i)
-    for v_id, v in enumerate(g.vertices):
-        counts = table.layer_counts(v_id)
+    layer_counts = [table.layer_counts(v_id) for v_id in range(n)]
+    for v, counts in zip(g.vertices, layer_counts):
         summary.checks += D + 1
         for i in range(D + 1):
             formula = layer_star_poly(params, v, i).evaluate(d)
@@ -328,21 +289,17 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         for w_id in g.succ[v_id]:
             w = g.vertices[w_id]
             arc = {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w)}
-            row_v, row_w = table.rows[v_id], table.rows[w_id]
-            hist: Dict[Tuple[int, int], int] = {}
-            for z in range(n):
-                key = (row_v[z], row_w[z])
-                hist[key] = hist.get(key, 0) + 1
+            hist = table.arc_histogram(v_id, w_id)
             for i in range(1, D + 1):
                 report = intersection_report(params, v, w, i)
                 j0 = report.forward_j
-                forward_js = [j for j in range(i, D + 1) if hist.get((i, j), 0) > 0]
+                forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
                 summary.checks += D + 3 - i  # j0 check plus one per j in [i-1, D]
                 if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
                     summary.mismatch("unique_j0", {**arc, "i": i}, j0, forward_js)
                 for j in range(i - 1, D + 1):
                     formula = intersection_poly_at(report, j).evaluate(d)
-                    oracle = hist.get((i, j), 0)
+                    oracle = hist[(i, j)]
                     if formula != oracle:
                         summary.mismatch("intersection_count", {**arc, "i": i, "j": j}, formula, oracle)
 
@@ -361,12 +318,8 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
         summary.mismatch("class_enumeration", ctx_base, "no stray patterns", sorted(stray))
 
     # input probabilities, transition probabilities, mean distance
-    pair_hist = [0] * (D + 1)
-    total_dist = 0
-    for v_id in range(n):
-        for dv in table.rows[v_id]:
-            pair_hist[dv] += 1
-            total_dist += dv
+    pair_hist = [sum(layer) for layer in zip(*layer_counts)]
+    total_dist = sum(i * count for i, count in enumerate(pair_hist))
     pairs = n * (n - 1)
     p_in = {i: prob.p_in_value(params.family, d, D, i) for i in range(1, D + 1)}
     for i in range(1, D + 1):

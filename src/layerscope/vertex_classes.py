@@ -127,7 +127,14 @@ def representative(c: VertexClass, params: GraphParams) -> Vertex:
     return c.pattern
 
 
+@functools.lru_cache(maxsize=None)
+def _classes_within(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, ...]:
+    return tuple(c for c in enumerate_classes(family, D) if c.s <= alphabet)
+
+
 def classes_realizable(family: Family, D: int, d: int) -> List[VertexClass]:
-    """Classes with at least one vertex at concrete degree d, in a new list."""
-    alphabet = d if family is Family.DEBRUIJN else d + 1
-    return [c for c in enumerate_classes(family, D) if c.s <= alphabet]
+    """Classes with at least one vertex at concrete degree d, in a new list.
+
+    The filtered classes are cached per (family, D, alphabet size).
+    """
+    return list(_classes_within(family, D, d if family is Family.DEBRUIJN else d + 1))

@@ -77,7 +77,7 @@ def test_pt_symbolic_and_tag(capsys):
     assert "1 / d^2" in out
     assert "valid for d >= 3" in out
     rc, _, _ = run_cli(capsys, "pt", "-f", "K", "-D", "4", "-i", "1", "-j", "2", "-d", "3", "--symbolic")
-    assert rc == 1  # symbolic and concrete are mutually exclusive
+    assert rc == 1  # --symbolic is not an option; symbolic is the default without -d
 
 
 def test_meandist_degenerate(capsys):

@@ -19,6 +19,7 @@ GOLDEN = {
     "pin -f K -D 6": "8acecb71d7e64fc4e09c82103969bdfb94008179902595212c96d7f0f7f6147c",
     "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",
     "verify -f B -d 2 -D 5": "c6e9d21a896375004724113b1dc343b6f150356bf4bb055a9edb13d6fa8886ab",
+    "verify -f K -d 3 -D 3": "024c91aa237fbba11f433e2a81df98343a23ac136d2993fc20f212f7b47150d3",
 }
 
 

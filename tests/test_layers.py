@@ -16,11 +16,11 @@ from layerscope.layers import (
     intersection_poly_at,
     intersection_report,
     layer_star_poly,
-    s_contains,
-    s_ki_nonempty,
+    sublayer_nonempty,
     unique_j0,
+    walk_set_contains,
 )
-from layerscope.oracle import DistanceTable, oracle_intersection, oracle_layer_counts
+from layerscope.oracle import DistanceTable
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
 
@@ -32,38 +32,37 @@ V_K10 = (0, 1, 2, 0, 1, 2, 0, 1, 0, 1)  # alpha beta gamma ... alpha beta
 
 def test_s_contains_worked_example_debruijn():
     # S_k(v) inside S_6(v) exactly for k in {1, 2, 4}
-    inside = [k for k in range(6) if s_contains(B27, V_B7, k, 6)]
+    inside = [k for k in range(6) if walk_set_contains(B, 7, V_B7, k, V_B7, 6)]
     assert inside == [1, 2, 4]
-    assert s_contains(B27, V_B7, 1, 6) is True
-    assert s_contains(B27, V_B7, 0, 6) is False
+    assert walk_set_contains(B, 7, V_B7, 1, V_B7, 6) is True
+    assert walk_set_contains(B, 7, V_B7, 0, V_B7, 6) is False
     # k = i below the diameter is trivially true
-    assert s_contains(B27, V_B7, 3, 3) is True
+    assert walk_set_contains(B, 7, V_B7, 3, V_B7, 3) is True
 
 
 def test_s_contains_worked_example_kautz():
-    inside = [k for k in range(8) if s_contains(K3_10, V_K10, k, 8)]
+    inside = [k for k in range(8) if walk_set_contains(K, 10, V_K10, k, V_K10, 8)]
     assert inside == [0, 3, 6]
 
 
 def test_s_contains_range_errors():
     with pytest.raises(IndexOutOfRange):
-        s_contains(B27, V_B7, 4, 2)
+        walk_set_contains(B, 7, V_B7, 4, V_B7, 2)
     with pytest.raises(IndexOutOfRange):
-        s_contains(B27, V_B7, 0, 8)
+        walk_set_contains(B, 7, V_B7, 0, V_B7, 8)
 
 
 def test_sublayer_worked_examples():
     # S_{2,6}(v) is empty because S_2(v) sits inside S_4(v)
-    assert [k for k in range(7) if s_ki_nonempty(B27, V_B7, k, 6)] == [1, 4, 6]
-    assert [k for k in range(9) if s_ki_nonempty(K3_10, V_K10, k, 8)] == [0, 3, 6, 8]
+    assert [k for k in range(7) if sublayer_nonempty(B, 7, V_B7, k, 6)] == [1, 4, 6]
+    assert [k for k in range(9) if sublayer_nonempty(K, 10, V_K10, k, 8)] == [0, 3, 6, 8]
 
 
 def test_sublayer_kautz_adjacent_always_empty():
-    params = GraphParams(K, 2, 4)
-    g = build_explicit(params)
+    g = build_explicit(GraphParams(K, 2, 4))
     for v in g.vertices:
         for i in range(1, 5):
-            assert not s_ki_nonempty(params, v, i - 1, i)
+            assert not sublayer_nonempty(K, 4, v, i - 1, i)
 
 
 def test_layer_star_poly_worked_examples():
@@ -97,8 +96,9 @@ def test_layer_star_poly_k4_table(pattern, expected):
 def test_layer_poly_matches_bfs_counts(family, d, D):
     params = GraphParams(family, d, D)
     g = build_explicit(params)
-    for v in g.vertices:
-        counts = oracle_layer_counts(g, v)
+    table = DistanceTable(g)
+    for v_id, v in enumerate(g.vertices):
+        counts = table.layer_counts(v_id)
         for i in range(D + 1):
             assert layer_star_poly(params, v, i).evaluate(d) == counts[i]
 
@@ -231,9 +231,10 @@ def test_intersection_report_back_only():
     rep5 = intersection_report(b25, v5, w5, 3)
     assert rep5.case is IntersectionCase.BACK_ONLY
     g = build_explicit(b25)
-    assert oracle_intersection(g, v5, w5, 3, 2) == rep5.back.evaluate(2)
+    hist = DistanceTable(g).arc_histogram(g.index_of(v5), g.index_of(w5))
+    assert hist[(3, 2)] == rep5.back.evaluate(2)
     for j in range(3, 6):
-        assert oracle_intersection(g, v5, w5, 3, j) == 0
+        assert hist[(3, j)] == 0
 
 
 def test_split_additivity_back_plus_forward_is_layer():
@@ -276,17 +277,14 @@ def test_reports_match_oracle_counts_exhaustively(family, d, D):
     for v_id, v in enumerate(g.vertices):
         for w_id in g.succ[v_id]:
             w = g.vertices[w_id]
-            hist = {}
-            for z in range(len(g.vertices)):
-                key = (table.rows[v_id][z], table.rows[w_id][z])
-                hist[key] = hist.get(key, 0) + 1
+            hist = table.arc_histogram(v_id, w_id)
             for i in range(1, D + 1):
                 rep = intersection_report(params, v, w, i)
-                forward_js = [j for j in range(i, D + 1) if hist.get((i, j), 0)]
+                forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
                 assert unique_j0(params, v, w, i) == (forward_js[0] if forward_js else None)
                 assert len(forward_js) <= 1
                 for j in range(i - 1, D + 1):
-                    assert intersection_poly_at(rep, j).evaluate(d) == hist.get((i, j), 0)
+                    assert intersection_poly_at(rep, j).evaluate(d) == hist[(i, j)]
 
 
 def test_permutation_invariance():

@@ -2,15 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from layerscope.graphs import Family, GraphParams, build_explicit
 from layerscope.oracle import (
+    DistanceTable,
     GridSummary,
     oracle_class_counts,
-    oracle_intersection,
-    oracle_layer_counts,
     oracle_mean_distance,
-    oracle_p_in,
-    oracle_p_t,
     oracle_transition_table,
     simulate_walk_hops,
     verify_graph,
@@ -20,46 +19,72 @@ from layerscope.oracle import (
 B, K = Family.DEBRUIJN, Family.KAUTZ
 
 
+def _layer_counts(g, v):
+    return DistanceTable(g).layer_counts(g.index_of(v))
+
+
+def _intersection(g, v, w, i, j):
+    return DistanceTable(g).arc_histogram(g.index_of(v), g.index_of(w))[(i, j)]
+
+
+def _p_in(table, i):
+    n = len(table.rows)
+    return Fraction(sum(table.layer_counts(v_id)[i] for v_id in range(n)), n * (n - 1))
+
+
 def test_oracle_layer_counts_examples():
     g = build_explicit(GraphParams(B, 2, 7))
-    counts = oracle_layer_counts(g, (0, 1, 1, 0, 1, 0, 1))
+    counts = _layer_counts(g, (0, 1, 1, 0, 1, 0, 1))
     assert counts[0] == 1
     assert counts[6] == 2**6 - 2**4 - 2  # 46
     g = build_explicit(GraphParams(K, 2, 4))
-    assert oracle_layer_counts(g, (0, 1, 0, 1)) == [1, 2, 3, 6, 12]
+    assert _layer_counts(g, (0, 1, 0, 1)) == [1, 2, 3, 6, 12]
 
 
 def test_oracle_intersection_examples():
     g = build_explicit(GraphParams(B, 2, 4))
-    assert oracle_intersection(g, (0, 1, 0, 0), (1, 0, 0, 1), 4, 4) == 0
+    assert _intersection(g, (0, 1, 0, 0), (1, 0, 0, 1), 4, 4) == 0
     g = build_explicit(GraphParams(K, 2, 4))
     # j < i - 1 is impossible by the triangle inequality
-    assert oracle_intersection(g, (0, 1, 0, 1), (1, 0, 1, 0), 3, 1) == 0
-    assert oracle_intersection(g, (0, 1, 0, 1), (1, 0, 1, 0), 1, 2) == 1  # d - 1 at d = 2
+    assert _intersection(g, (0, 1, 0, 1), (1, 0, 1, 0), 3, 1) == 0
+    assert _intersection(g, (0, 1, 0, 1), (1, 0, 1, 0), 1, 2) == 1  # d - 1 at d = 2
 
 
 def test_oracle_p_in_examples():
-    g = build_explicit(GraphParams(K, 2, 4))
-    assert oracle_p_in(g, 1) == Fraction(2, 23)
-    assert sum(oracle_p_in(g, i) for i in range(1, 5)) == 1
-    g = build_explicit(GraphParams(K, 3, 4))
+    table = DistanceTable(build_explicit(GraphParams(K, 2, 4)))
+    assert _p_in(table, 1) == Fraction(2, 23)
+    assert sum(_p_in(table, i) for i in range(1, 5)) == 1
+    table = DistanceTable(build_explicit(GraphParams(K, 3, 4)))
     # Table row 4 evaluated at d = 3
-    assert oracle_p_in(g, 4) == Fraction(3**5 - 3**3 - 3**2 + 1, 3**5 + 3**4 - 3)
+    assert _p_in(table, 4) == Fraction(3**5 - 3**3 - 3**2 + 1, 3**5 + 3**4 - 3)
 
 
 def test_oracle_p_t_diameter_row():
     g = build_explicit(GraphParams(K, 2, 4))
-    assert oracle_p_t(g, 4, 4) == 1
     table = oracle_transition_table(g)
+    assert table[(4, 4)] == 1
     for i in range(1, 5):
         assert sum(table[(i, j)] for j in range(i, 5)) == 1
+
+
+def test_oracle_transition_table_rejects_two_shortest_path_successors():
+    g = build_explicit(GraphParams(K, 3, 3))
+    table = DistanceTable(g)
+    u = 0
+    z, w = next((z, w) for z in g.succ[u] for w in g.succ[u] if table.rows[w][z] == 3)
+    # w now sits at distance 0 from z like z itself: two shortest-path
+    # successors of u toward z. w was at the diameter, so no vertex had its
+    # shortest path to z through w and every other row stays consistent.
+    table.rows[w][z] = 0
+    with pytest.raises(AssertionError):
+        oracle_transition_table(g, table)
 
 
 def test_oracle_mean_distance_small():
     g = build_explicit(GraphParams(B, 2, 2))
     # B(2,2): distances computed by hand over the 12 ordered pairs
     assert oracle_mean_distance(g) == Fraction(
-        sum(oracle_layer_counts(g, v)[1] * 1 + oracle_layer_counts(g, v)[2] * 2 for v in g.vertices),
+        sum(_layer_counts(g, v)[1] * 1 + _layer_counts(g, v)[2] * 2 for v in g.vertices),
         12,
     )
 
@@ -131,3 +156,110 @@ def test_simulate_walk_deterministic_and_sane():
     assert a.std > 0
     exact = oracle_mean_distance(g)
     assert abs(a.mean - float(exact)) <= 4 * a.stderr
+
+
+# One injected fault per checked quantity; each must surface as exactly these
+# mismatch records (recorded before the oracle read its counts off the
+# distance table) on B(2,3) and K(2,3).
+def _inject(monkeypatch, quantity):
+    import dataclasses
+
+    if quantity == "distance":
+        from layerscope.graphs import distance as real_distance
+
+        def broken_distance(params, v, z):
+            dist = real_distance(params, v, z)
+            return dist + 1 if dist == 2 and v[::-1] == z else dist
+
+        monkeypatch.setattr("layerscope.graphs.distance", broken_distance)
+    elif quantity in ("intersection_count", "unique_j0"):
+        from layerscope.layers import intersection_report as real_report
+
+        def broken_report(params, v, w, i):
+            rep = real_report(params, v, w, i)
+            if quantity == "intersection_count" and i == 2 and rep.back is not None and v[0] == w[-1]:
+                return dataclasses.replace(rep, back=None)
+            if quantity == "unique_j0" and i == 1 and rep.forward_j == 1 and v[-1] == w[-1]:
+                return dataclasses.replace(rep, forward_j=2)
+            return rep
+
+        monkeypatch.setattr("layerscope.layers.intersection_report", broken_report)
+    else:
+        from layerscope.probabilities import p_t_value as real_p_t
+
+        def broken_p_t(family, d, D, i, j):
+            return real_p_t(family, d, D, i, j) + (Fraction(1, 97) if (i, j) == (1, 2) else 0)
+
+        monkeypatch.setattr("layerscope.probabilities.p_t_value", broken_p_t)
+
+
+FAULT_RECORDS = {
+    "distance": (
+        797,
+        [
+            "distance family=B d=2 D=3 v=001 z=100 3 2",
+            "distance family=B d=2 D=3 v=110 z=011 3 2",
+            "distance family=K d=2 D=3 v=012 z=210 3 2",
+            "distance family=K d=2 D=3 v=021 z=120 3 2",
+            "distance family=K d=2 D=3 v=102 z=201 3 2",
+            "distance family=K d=2 D=3 v=120 z=021 3 2",
+            "distance family=K d=2 D=3 v=201 z=102 3 2",
+            "distance family=K d=2 D=3 v=210 z=012 3 2",
+        ],
+    ),
+    "intersection_count": (
+        797,
+        [
+            "intersection_count family=B d=2 D=3 v=001 w=010 i=2 j=1 0 2",
+            "intersection_count family=B d=2 D=3 v=010 w=100 i=2 j=1 0 2",
+            "intersection_count family=B d=2 D=3 v=011 w=110 i=2 j=1 0 2",
+            "intersection_count family=B d=2 D=3 v=100 w=001 i=2 j=1 0 2",
+            "intersection_count family=B d=2 D=3 v=101 w=011 i=2 j=1 0 2",
+            "intersection_count family=B d=2 D=3 v=110 w=101 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=012 w=120 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=021 w=210 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=102 w=021 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=120 w=201 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=201 w=012 i=2 j=1 0 2",
+            "intersection_count family=K d=2 D=3 v=210 w=102 i=2 j=1 0 2",
+        ],
+    ),
+    "p_t": (
+        797,
+        [
+            "p_t family=B d=2 D=3 i=1 j=2 101/388 1/4",
+            "p_t family=K d=2 D=3 i=1 j=2 99/194 1/2",
+        ],
+    ),
+    "unique_j0": (
+        797,
+        [
+            "unique_j0 family=B d=2 D=3 v=000 w=000 i=1 2 [1]",
+            "intersection_count family=B d=2 D=3 v=000 w=000 i=1 j=1 0 1",
+            "intersection_count family=B d=2 D=3 v=000 w=000 i=1 j=2 1 0",
+            "unique_j0 family=B d=2 D=3 v=011 w=111 i=1 2 [1]",
+            "intersection_count family=B d=2 D=3 v=011 w=111 i=1 j=1 0 1",
+            "intersection_count family=B d=2 D=3 v=011 w=111 i=1 j=2 1 0",
+            "unique_j0 family=B d=2 D=3 v=100 w=000 i=1 2 [1]",
+            "intersection_count family=B d=2 D=3 v=100 w=000 i=1 j=1 0 1",
+            "intersection_count family=B d=2 D=3 v=100 w=000 i=1 j=2 1 0",
+            "unique_j0 family=B d=2 D=3 v=111 w=111 i=1 2 [1]",
+            "intersection_count family=B d=2 D=3 v=111 w=111 i=1 j=1 0 1",
+            "intersection_count family=B d=2 D=3 v=111 w=111 i=1 j=2 1 0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", ["distance", "intersection_count", "unique_j0", "p_t"])
+def test_verify_reports_injected_faults_exactly(monkeypatch, quantity):
+    _inject(monkeypatch, quantity)
+    summary = GridSummary()
+    verify_graph(GraphParams(B, 2, 3), summary)
+    verify_graph(GraphParams(K, 2, 3), summary)
+    records = [
+        " ".join([m.quantity, *(f"{k}={v}" for k, v in m.context.items()), m.formula_value, m.oracle_value])
+        for m in summary.mismatches
+    ]
+    expected_checks, expected_records = FAULT_RECORDS[quantity]
+    assert (summary.checks, records) == (expected_checks, expected_records)
