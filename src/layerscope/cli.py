@@ -32,6 +32,10 @@ from .probabilities import (
 )
 from .vertex_classes import canonical_pattern
 
+# markov --monte-carlo refuses walks longer than this in expected total hops
+# (about a minute at 0.4-0.6 microseconds per hop)
+WALK_HOP_BUDGET = 10**8
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the tool reserves 2 for caps."""
@@ -75,7 +79,7 @@ def _fraction(text: str) -> Fraction:
 
 def _check_word(family: Family, D: int, word: List[int], alphabet: Optional[int]) -> tuple:
     """Validate a vertex word; alphabet defaults to the symbols actually used."""
-    size = alphabet if alphabet is not None else max(word) + 1
+    size = alphabet if alphabet is not None else max(word, default=0) + 1
     if family is Family.KAUTZ and alphabet is None:
         size = max(size, 2)
     d = size if family is Family.DEBRUIJN else size - 1
@@ -289,6 +293,11 @@ def cmd_markov(args) -> int:
 
     mc_ok = True
     if args.monte_carlo:
+        if args.monte_carlo * overall > WALK_HOP_BUDGET:
+            raise TooLarge(
+                f"{args.monte_carlo} packets x {float(overall):.6g} expected hops = "
+                f"{float(args.monte_carlo * overall):.3g} hops, above the walk budget of {WALK_HOP_BUDGET:,}"
+            )
         g = build_explicit(GraphParams(family, args.d, args.D), args.cap)
         stats = simulate_walk_hops(g, float(p), args.monte_carlo, seed=args.seed)
         diff = abs(stats.mean - float(overall))

@@ -22,7 +22,7 @@ class SameVertex(LayerscopeError):
 
 
 class TooLarge(LayerscopeError):
-    """Graph exceeds the explicit-construction vertex cap."""
+    """A computation exceeds a resource cap (vertices, vertex classes or walk hops)."""
 
 
 class VertexNotInGraph(LayerscopeError):

@@ -1,19 +1,19 @@
 """Closed-form distance-layer combinatorics.
 
-Everything in this module is driven by subsequence comparisons on the vertex
-word, never by materializing vertex sets. Write S_i(v) for the set reachable
-from v by some walk of length i and S_i*(v) for the set at distance exactly i.
-The key facts used throughout:
+Everything here compares symbols of the vertex words; no vertex set is ever
+materialized. Write S_i(v) for the set reachable from v by some walk of length
+i, S_i*(v) for the set at distance exactly i, and pi_k(v) for the shortest
+period of the suffix v_{k+1} .. v_D (``suffix_periods``). Below the diameter,
+S_k(v) lies in S_j(v') exactly when v_{k+1} .. v_{D-(j-k)} = v'_{j+1} .. v'_D,
+and otherwise the two are disjoint. The two key facts:
 
-  * For k <= i < D, S_k(v) and S_i(v') are either nested or disjoint, and
-    S_k(v) is contained in S_i(v') exactly when v_{k+1} .. v_{D-(i-k)} equals
-    v'_{i+1} .. v'_D. At i = D the test degenerates to a single-symbol rule
-    (Kautz) or is vacuous (De Bruijn, where S_D = V).
-  * |S_i*(v)| = d^i - sum a_k d^k where a_k is 1 exactly when S_k(v) is a
-    maximal sublayer of S_i(v) (``sublayer_nonempty`` below).
-  * For w adjacent from v there is at most one j0 >= i with
-    S_i*(v) cap S_j0*(w) nonempty, and the intersection cardinalities are
-    polynomials derived from the a_k.
+  * |S_i*(v)| = d^i - sum a_k d^k with a_k = 1 exactly when i = k + pi_k(v),
+    except k = D - 1 for Kautz: S_k(v) lies in S_j(v), j < D, exactly when
+    v_{k+1} .. v_D has period j - k, and at i = D a suffix without a proper
+    period has first symbol != last symbol, the Kautz containment rule.
+  * For w adjacent from v, j0 = i - 1 + pi(v_{i+1} .. v_D w_D) is the one
+    forward index with S_i*(v) cap S_j0*(w) nonempty: S_i(v) lies in S_j(w),
+    i <= j < D, exactly when that word has period j + 1 - i.
 
 The predicates that distinguish nonempty intersections genuinely differ
 between d >= 3 and d = 2 (De Bruijn only). Public entry points dispatch on the
@@ -66,19 +66,31 @@ def walk_sets_meet(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int
     return walk_set_contains(family, D, v, k, v2, i)
 
 
+def suffix_periods(v: Vertex) -> List[int]:
+    """pi[k], the shortest period of the suffix v[k:], for every k, in O(D).
+
+    One border (KMP failure) array of the reversed word, whose prefixes are the
+    reversed suffixes; a word of length m with longest proper border b has
+    shortest period m - b.
+    """
+    r = v[::-1]
+    D = len(r)
+    border = [0] * (D + 1)  # border[m]: longest proper border of r[:m]
+    b = 0
+    for m in range(1, D):
+        while b and r[m] != r[b]:
+            b = border[b]
+        if r[m] == r[b]:
+            b += 1
+        border[m + 1] = b
+    return [D - k - border[D - k] for k in range(D)]
+
+
 def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool:
     """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
     disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
     _check_range(D, k, i)
-    if k == i:
-        return True
-    if not walk_set_contains(family, D, v, k, v, i):
-        return False
-    for j in range(k + 1, i):
-        # j < i <= D, so disjointness is the negation of containment
-        if walk_set_contains(family, D, v, k, v, j):
-            return False
-    return True
+    return k == i or layer_coefficients(family, D, v, i)[k] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +144,13 @@ class LayerPolynomial:
 
 
 def layer_coefficients(family: Family, D: int, v: Vertex, i: int) -> List[int]:
-    """The bits a_0 .. a_{i-1} of |S_i*(v)| = d^i - sum a_k d^k."""
-    return [1 if sublayer_nonempty(family, D, v, k, i) else 0 for k in range(i)]
+    """The bits a_0 .. a_{i-1} of |S_i*(v)| = d^i - sum a_k d^k: a_k = 1 exactly
+    when i = k + pi_k(v), except that k = D - 1 never counts for Kautz."""
+    if not 0 <= i <= D:
+        raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
+    pi = suffix_periods(v)
+    skip = D - 1 if family is Family.KAUTZ else -1
+    return [1 if k + pi[k] == i and k != skip else 0 for k in range(i)]
 
 
 def layer_star_poly(params: GraphParams, v: Vertex, i: int) -> LayerPolynomial:
@@ -142,8 +159,6 @@ def layer_star_poly(params: GraphParams, v: Vertex, i: int) -> LayerPolynomial:
 
 
 def layer_poly_eval(family: Family, D: int, v: Vertex, i: int) -> LayerPolynomial:
-    if not 0 <= i <= D:
-        raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
     a = layer_coefficients(family, D, v, i)
     return LayerPolynomial.build(i, {k: 1 for k, bit in enumerate(a) if bit})
 
@@ -214,24 +229,7 @@ def intersection_nonempty_eval(
         raise IndexOutOfRange(f"need i-1 <= j <= D, got j={j}")
     if j == i - 1:
         return not back_intersection_empty(family, v, w, i)
-    if i == D:  # forces j = D
-        if not d2_rules:
-            return True
-        return family is Family.KAUTZ or v[-1] == w[-1]
-    if not walk_sets_meet(family, D, v, i, w, j):
-        return False
-    for k in range(i, j):
-        # S_i(v) inside a maximal sublayer S_{k,j}(w) kills the intersection
-        if sublayer_nonempty(family, D, w, k, j) and walk_set_contains(family, D, v, i, w, k):
-            return False
-    if (
-        d2_rules
-        and j == D
-        and _constant_tail(v, i)
-        and sublayer_nonempty(family, D, w, i - 1, D)
-    ):
-        return False
-    return True
+    return j == unique_j0_eval(family, D, v, w, i, d2_rules)
 
 
 def intersection_nonempty(params: GraphParams, v: Vertex, w: Vertex, i: int, j: int) -> bool:
@@ -247,16 +245,15 @@ def unique_j0_eval(
 ) -> Optional[int]:
     """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None.
 
-    None is possible only under d = 2 rules (De Bruijn, constant v-tail
-    differing from w_D).
+    j0 = i - 1 + pi(v_{i+1} .. v_D w_D), at most D as that word has D - i + 1
+    symbols. None only under d = 2 rules, for De Bruijn with v_i = ... = v_D
+    != w_D, where j0 would be D and the back intersection is the whole layer.
     """
-    found = None
-    for j in range(i, D + 1):
-        if intersection_nonempty_eval(family, D, v, w, i, j, d2_rules):
-            if found is not None:
-                raise AssertionError(f"two forward intersections at j={found} and j={j}")
-            found = j
-    return found
+    if not 1 <= i <= D:
+        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
+    if d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] != w[-1]:
+        return None
+    return i - 1 + suffix_periods(v[i:] + w[-1:])[0]
 
 
 def unique_j0(params: GraphParams, v: Vertex, w: Vertex, i: int) -> Optional[int]:

@@ -19,11 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import AlphabetTooSmall
+from .errors import AlphabetTooSmall, TooLarge
 from .graphs import Family, GraphParams, Vertex
 from .polynomials import IntPolynomial
 
 Pattern = Tuple[int, ...]
+
+# enumerate_classes refuses to build more classes than this
+CLASS_CAP = 1_000_000
 
 
 def canonical_pattern(v: Vertex) -> Pattern:
@@ -88,16 +91,32 @@ def _patterns(family: Family, D: int) -> List[Pattern]:
     return out
 
 
+def class_count(family: Family, D: int) -> int:
+    """Number of classes, Bell(D) for De Bruijn and Bell(D - 1) for Kautz, from
+    the Bell triangle."""
+    row = [1]
+    for _ in range(D if family is Family.DEBRUIJN else D - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_classes(family: Family, D: int) -> Tuple[VertexClass, ...]:
     """All classes for the family and diameter, in lexicographic pattern order.
 
     Patterns with more symbols than a given concrete alphabet are included;
     their cardinality polynomial vanishes there. The result is cached per
-    (family, D) and shared by every caller, hence a tuple.
+    (family, D) and shared by every caller, hence a tuple. More than
+    CLASS_CAP classes raise TooLarge before any is built.
     """
     if D < 1:
         raise ValueError(f"diameter D must be >= 1, got {D}")
+    count = class_count(family, D)
+    if count > CLASS_CAP:
+        raise TooLarge(f"{family}(d,{D}) has {count:,} vertex classes, above the cap of {CLASS_CAP:,}")
     return tuple(
         VertexClass(
             pattern=p,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 from layerscope.cli import main
 from layerscope.polynomials import RationalFunction
@@ -54,6 +55,13 @@ def test_layers_usage_and_parse_errors(capsys):
     assert rc == 1  # Kautz repeat
     rc, _, err = run_cli(capsys, "layers", "-f", "K", "-D", "4", "--vertex", "01")
     assert rc == 1  # wrong length
+
+
+def test_layers_empty_word_is_a_length_error(capsys):
+    for flag in ("--vertex", "--class"):
+        rc, out, err = run_cli(capsys, "layers", "-f", "B", "-D", "3", flag, "")
+        assert rc == 1 and out == ""
+        assert err == "error: expected 3 symbols, got 0\n"
 
 
 def test_pin_golden_table(capsys):
@@ -109,6 +117,15 @@ def test_verify_single_graph_ok(capsys):
     assert "match the oracle exactly" in out
 
 
+def test_pt_refuses_class_count_over_the_cap(capsys):
+    # Bell(14) = 190,899,322 classes
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "pt", "-f", "B", "-D", "14")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "190,899,322 vertex classes" in err and "1,000,000" in err
+
+
 def test_verify_cap_exit_code(capsys):
     rc, _, err = run_cli(capsys, "verify", "-d", "3", "-D", "4", "--cap", "10")
     assert rc == 2
@@ -137,6 +154,18 @@ def test_markov_monte_carlo(capsys):
     assert rc == 0
     assert "monte carlo" in out
     assert "<=" in out
+
+
+def test_markov_monte_carlo_refuses_walks_over_the_hop_budget(capsys):
+    # B(2,6) at p = 9/10 expects 201,873 hops per packet: 2.02e11 hops in all
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "markov", "-f", "B", "-d", "2", "-D", "6", "-p", "9/10", "--monte-carlo", "1000000"
+    )
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "201873 expected hops = 2.02e+11 hops" in err
+    assert "above the walk budget of 100,000,000" in err
 
 
 def test_markov_json_payload(capsys):

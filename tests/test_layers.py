@@ -4,23 +4,34 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscope.errors import IndexOutOfRange, NotASuccessor
 from layerscope.graphs import Family, GraphParams, build_explicit, successors
 from layerscope.layers import (
     IntersectionCase,
     LayerPolynomial,
+    _check_range,
+    _constant_tail,
+    back_intersection_empty,
     gamma_plus,
     gamma_star,
     intersection_nonempty,
+    intersection_nonempty_eval,
     intersection_poly_at,
     intersection_report,
+    layer_coefficients,
     layer_star_poly,
     sublayer_nonempty,
+    suffix_periods,
     unique_j0,
+    unique_j0_eval,
     walk_set_contains,
+    walk_sets_meet,
 )
 from layerscope.oracle import DistanceTable
+from layerscope.vertex_classes import enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
 
@@ -304,3 +315,153 @@ def test_permutation_invariance():
                 assert rep.case == srep.case
                 assert rep.forward_j == srep.forward_j
                 assert rep.back == srep.back and rep.forward == srep.forward
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the predicates found by nested searches over the
+# walk-set containments, an independent check of the suffix-period rules
+# ---------------------------------------------------------------------------
+
+
+def ref_sublayer_nonempty(family, D, v, k, i):
+    """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
+    disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
+    _check_range(D, k, i)
+    if k == i:
+        return True
+    if not walk_set_contains(family, D, v, k, v, i):
+        return False
+    for j in range(k + 1, i):
+        # j < i <= D, so disjointness is the negation of containment
+        if walk_set_contains(family, D, v, k, v, j):
+            return False
+    return True
+
+
+def ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules):
+    """S_i*(v) cap S_j*(w) != empty for w adjacent from v and i - 1 <= j <= D.
+
+    d2_rules selects the d = 2 criteria (extra De Bruijn emptiness cases);
+    with d2_rules False the d >= 3 criteria apply.
+    """
+    if not 1 <= i <= D:
+        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
+    if not i - 1 <= j <= D:
+        raise IndexOutOfRange(f"need i-1 <= j <= D, got j={j}")
+    if j == i - 1:
+        return not back_intersection_empty(family, v, w, i)
+    if i == D:  # forces j = D
+        if not d2_rules:
+            return True
+        return family is Family.KAUTZ or v[-1] == w[-1]
+    if not walk_sets_meet(family, D, v, i, w, j):
+        return False
+    for k in range(i, j):
+        # S_i(v) inside a maximal sublayer S_{k,j}(w) kills the intersection
+        if ref_sublayer_nonempty(family, D, w, k, j) and walk_set_contains(family, D, v, i, w, k):
+            return False
+    if (
+        d2_rules
+        and j == D
+        and _constant_tail(v, i)
+        and ref_sublayer_nonempty(family, D, w, i - 1, D)
+    ):
+        return False
+    return True
+
+
+def ref_unique_j0_eval(family, D, v, w, i, d2_rules):
+    """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None."""
+    found = None
+    for j in range(i, D + 1):
+        if ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules):
+            if found is not None:
+                raise AssertionError(f"two forward intersections at j={found} and j={j}")
+            found = j
+    return found
+
+
+def _archetypes(family, pattern):
+    """One successor per way the appended symbol relates to the pattern: each
+    used symbol (not the last for Kautz) and one fresh symbol."""
+    fresh = max(pattern) + 1
+    return [
+        pattern[1:] + (x,)
+        for x in range(fresh + 1)
+        if not (family is K and x == pattern[-1])
+    ]
+
+
+@pytest.mark.parametrize("family", [B, K])
+def test_period_rules_match_reference_loops_on_every_class(family):
+    # the predicates only compare symbols, so class patterns and successor
+    # archetypes cover every (v, w) up to relabeling
+    for D in range(1, 8):
+        for c in enumerate_classes(family, D):
+            v = c.pattern
+            for i in range(D + 1):
+                ref = [ref_sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)]
+                assert layer_coefficients(family, D, v, i) == [int(bit) for bit in ref[:i]]
+                assert [sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)] == ref
+            for w in _archetypes(family, v):
+                for i in range(1, D + 1):
+                    for d2_rules in (False, True):
+                        got = [
+                            intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
+                            for j in range(i - 1, D + 1)
+                        ]
+                        ref = [
+                            ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
+                            for j in range(i - 1, D + 1)
+                        ]
+                        assert got == ref, (v, w, i, d2_rules)
+                        forward = [j for j in range(i, D + 1) if ref[j - i + 1]]
+                        assert len(forward) <= 1
+                        assert unique_j0_eval(family, D, v, w, i, d2_rules) == (
+                            forward[0] if forward else None
+                        )
+
+
+def test_unique_j0_rejects_index_beyond_diameter():
+    with pytest.raises(IndexOutOfRange):
+        unique_j0_eval(B, 3, (0, 1, 0), (1, 0, 0), 4, d2_rules=False)
+    with pytest.raises(IndexOutOfRange):
+        unique_j0_eval(B, 3, (0, 1, 0), (1, 0, 0), 0, d2_rules=False)
+
+
+def test_suffix_periods_worked_example():
+    # suffixes of 0110101: 0110101, 110101, 10101, 0101, 101, 01, 1
+    assert suffix_periods(V_B7) == [5, 5, 2, 2, 2, 2, 1]
+
+
+# properties on random words beyond the exhaustive range above
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=16).map(tuple))
+def test_suffix_periods_are_least_periods(v):
+    for k, p in enumerate(suffix_periods(v)):
+        assert p == next(q for q in range(1, len(v) + 1) if v[k + q :] == v[k : len(v) - q])
+
+
+@st.composite
+def _arcs(draw):
+    family = draw(st.sampled_from([B, K]))
+    D = draw(st.integers(8, 12))
+    size = 2 if family is B else 3  # d = 2: the most repetitive words
+    word = [draw(st.integers(0, size - 1))]
+    while len(word) <= D:  # v is word[:D], its successor w is word[1:]
+        word.append(draw(st.sampled_from([s for s in range(size) if family is B or s != word[-1]])))
+    return family, D, tuple(word[:D]), tuple(word[1:]), draw(st.integers(1, D)), draw(st.booleans())
+
+
+@_PROPERTY
+@given(_arcs())
+def test_period_rules_match_reference_loops_on_random_arcs(arc):
+    family, D, v, w, i, d2_rules = arc
+    for word in (v, w):
+        assert layer_coefficients(family, D, word, i) == [
+            int(ref_sublayer_nonempty(family, D, word, k, i)) for k in range(i)
+        ]
+    assert unique_j0_eval(family, D, v, w, i, d2_rules) == ref_unique_j0_eval(family, D, v, w, i, d2_rules)

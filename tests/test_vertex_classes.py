@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
-from layerscope.errors import AlphabetTooSmall
+from layerscope.errors import AlphabetTooSmall, TooLarge
 from layerscope.graphs import Family, GraphParams, build_explicit, vertex_count_poly
 from layerscope.polynomials import IntPolynomial
 from layerscope.vertex_classes import (
+    CLASS_CAP,
     canonical_pattern,
     class_cardinality_poly,
+    class_count,
     classes_realizable,
     enumerate_classes,
     n_s_counts,
@@ -146,3 +148,16 @@ def test_cardinality_poly_memoized():
         assert str(first) == text
     for c in enumerate_classes(B, 5):
         assert c.cardinality is class_cardinality_poly(B, c.s)
+
+
+def test_class_count_is_bell_and_guards_enumeration():
+    for D in range(1, 9):
+        assert class_count(B, D) == len(enumerate_classes(B, D))
+        assert class_count(K, D) == len(enumerate_classes(K, D))
+    # the largest Kautz case under the cap; acceptance criterion 4 builds the
+    # same cached tuple
+    assert class_count(K, 12) == class_count(B, 11) == 678570 <= CLASS_CAP
+    assert len(enumerate_classes(K, 12)) == 678570
+    for family, D in [(B, 12), (K, 13), (B, 14)]:
+        with pytest.raises(TooLarge, match="vertex classes"):
+            enumerate_classes(family, D)
