@@ -138,6 +138,23 @@ def distance(params: GraphParams, v: Vertex, z: Vertex) -> int:
     raise AssertionError("unreachable: k = D always matches")
 
 
+def distance_row(params: GraphParams, v: Vertex) -> bytearray:
+    """`distance` from v to every vertex, one byte each in build_explicit id order.
+
+    The z with z[:D-k] == v[k:] are the d^k ids from rank(v[k:]) * d^k (rank: base d
+    for B; for K the first symbol, then digits s - (s > prev)). Writing k = D-1
+    down to 0 over its block leaves the smallest matching k."""
+    d, D = params.d, params.D
+    kautz = params.family is Family.KAUTZ
+    row = bytearray([D]) * params.vertex_count
+    for k in range(D - 1, -1, -1):
+        rank = v[k]
+        for prev, s in zip(v[k:], v[k + 1 :]):
+            rank = rank * d + s - (kautz and s > prev)
+        row[rank * d**k : (rank + 1) * d**k] = bytes([k]) * d**k
+    return row
+
+
 def shortest_path(params: GraphParams, v: Vertex, z: Vertex) -> List[Vertex]:
     """The unique shortest path v, u_1, ..., u_{k-1}, z between distinct vertices.
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .errors import TooLarge
 from .graphs import (
     ExplicitDigraph,
     Family,
@@ -24,16 +25,22 @@ from .graphs import (
     format_vertex,
 )
 
+APSP_CAP = 2**28  # bytes of all-pairs distances, one per ordered pair
+
 
 class DistanceTable:
     """All-pairs BFS distances for one explicit digraph (one bytearray row per source).
 
     Every BFS quantity the oracle checks is read off these rows with whole-row
     operations: layer sizes by `layer_counts`, arc intersections by
-    `arc_histogram`.
+    `arc_histogram`. The latter codes the pair (i, j) as the byte i*(D+1) + j,
+    read as whole-row integers: row v times D + 1 plus row w, which cannot
+    carry while D <= 15 (APSP_CAP admits no table beyond D = 14).
     """
 
     def __init__(self, g: ExplicitDigraph):
+        if len(g.vertices) ** 2 > APSP_CAP:
+            raise TooLarge(f"{g.params} needs n^2 = {len(g.vertices) ** 2:,} bytes, above the APSP cap of {APSP_CAP:,}")
         self.g = g
         self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
 
@@ -42,9 +49,12 @@ class DistanceTable:
         row = self.rows[src]
         return [row.count(i) for i in range(self.g.params.D + 1)]
 
-    def arc_histogram(self, v_id: int, w_id: int) -> Counter:
-        """|S_i*(v) cap S_j*(w)| keyed by (i, j); absent keys count 0."""
-        return Counter(zip(self.rows[v_id], self.rows[w_id]))
+    def arc_histogram(self, v_id: int, *w_ids: int) -> Counter:
+        """|S_i*(v) cap S_j*(w)| keyed by (i, j), summed over the given w; absent keys count 0."""
+        rows, width = self.rows, self.g.params.D + 1
+        scaled = int.from_bytes(rows[v_id], "big") * width
+        codes = b"".join((scaled + int.from_bytes(rows[w], "big")).to_bytes(len(rows), "big") for w in w_ids)
+        return Counter({divmod(c, width): count for c, count in Counter(codes).items()})
 
 
 def oracle_mean_distance(g: ExplicitDigraph) -> Fraction:
@@ -71,9 +81,7 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
         (i, j): Fraction(0) for i in range(1, D + 1) for j in range(i, D + 1)
     }
     for v_id, succ_v in enumerate(g.succ):
-        hist: Counter = Counter()
-        for w_id in succ_v:
-            hist.update(table.arc_histogram(v_id, w_id))
+        hist = table.arc_histogram(v_id, *succ_v)
         sizes = table.layer_counts(v_id)
         for i in range(1, D + 1):
             if hist[(i, i - 1)] != sizes[i]:
@@ -262,17 +270,17 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
 
     summary.record("vertex_count", ctx_base, params.vertex_count, n)
 
-    # closed-form distance vs BFS for every ordered pair
-    from .graphs import distance as closed_distance
+    # closed-form distance row vs BFS row for every source
+    from .graphs import distance_row
 
     for v_id, v in enumerate(g.vertices):
-        row = table.rows[v_id]
+        row, formula = table.rows[v_id], distance_row(params, v)
         summary.checks += n
-        for z_id, z in enumerate(g.vertices):
-            formula = closed_distance(params, v, z)
-            if formula != row[z_id]:
-                ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
-                summary.mismatch("distance", ctx, formula, row[z_id])
+        if formula != row:
+            for z_id, z in enumerate(g.vertices):
+                if formula[z_id] != row[z_id]:
+                    ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
+                    summary.mismatch("distance", ctx, formula[z_id], row[z_id])
 
     # layer counts for every (v, i)
     layer_counts = [table.layer_counts(v_id) for v_id in range(n)]

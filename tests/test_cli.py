@@ -5,6 +5,8 @@ import io
 import json
 import time
 
+import pytest
+
 from layerscope.cli import main
 from layerscope.polynomials import RationalFunction
 
@@ -130,6 +132,20 @@ def test_verify_cap_exit_code(capsys):
     rc, _, err = run_cli(capsys, "verify", "-d", "3", "-D", "4", "--cap", "10")
     assert rc == 2
     assert "cap" in err
+
+
+# K(5,6) has 18,750 vertices, under the vertex cap, and n^2 = 351,562,500
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["markov", "-p", "1/10", "--monte-carlo", "10"]],
+    ids=["verify", "markov"],
+)
+def test_distance_table_over_the_apsp_cap_refused(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv, "-f", "K", "-d", "5", "-D", "6")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "K(5,6) needs n^2 = 351,562,500 bytes, above the APSP cap of 268,435,456" in err
 
 
 def test_markov_p_zero_equals_mean_distance(capsys):

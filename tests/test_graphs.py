@@ -1,6 +1,8 @@
 """Vertices, adjacency, closed-form distance, explicit construction, BFS."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscope.errors import (
     KautzRepeat,
@@ -17,6 +19,7 @@ from layerscope.graphs import (
     bfs_layers,
     build_explicit,
     distance,
+    distance_row,
     format_vertex,
     parse_vertex,
     shortest_path,
@@ -90,6 +93,53 @@ def test_distance_matches_bfs_everywhere(family, d, D):
         dist = bfs_distances(g, src)
         for tgt, z in enumerate(g.vertices):
             assert distance(params, v, z) == dist[tgt]
+
+
+# `verify` checks distance_row against BFS; these keep the per-pair `distance`
+# (used by shortest_path and exported by the package) tied to it.
+@pytest.mark.parametrize(
+    "family,d,D",
+    [(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in range(1, 6)] + [(B, 300, 1), (K, 300, 1)],
+)
+def test_distance_row_matches_distance_on_every_pair(family, d, D):
+    params = GraphParams(family, d, D)
+    g = build_explicit(params)
+    assert [_lex_id(params, z) for z in g.vertices] == list(range(len(g.vertices)))
+    for v in g.vertices:
+        assert distance_row(params, v) == bytearray(distance(params, v, z) for z in g.vertices)
+
+
+def _lex_id(params, z):
+    """The number of vertices before z in lexicographic order."""
+    before = 0
+    for pos, s in enumerate(z):
+        smaller = s - (params.family is K and pos > 0 and z[pos - 1] < s)
+        before += smaller * params.d ** (params.D - 1 - pos)
+    return before
+
+
+@st.composite
+def _pairs(draw):
+    family = draw(st.sampled_from([B, K]))
+    d = draw(st.integers(2, 6))
+    D = draw(st.integers(1, max(D for D in range(1, 13) if GraphParams(family, d, D).vertex_count <= 2**17)))
+    size = GraphParams(family, d, D).alphabet_size
+
+    def extend(word, length):
+        while len(word) < length:
+            word.append(draw(st.sampled_from([s for s in range(size) if family is B or not word or s != word[-1]])))
+        return tuple(word)
+
+    v = extend([], D)
+    k = draw(st.integers(0, D))  # z starts with v[k:], so d(v, z) <= k
+    return GraphParams(family, d, D), v, extend(list(v[k:]), D)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_pairs())
+def test_distance_row_matches_distance_on_random_pairs(pair):
+    params, v, z = pair
+    assert distance_row(params, v)[_lex_id(params, z)] == distance(params, v, z)
 
 
 @pytest.mark.parametrize("family,d,D", [(B, 2, 4), (K, 2, 4), (K, 3, 3)])

@@ -1,11 +1,14 @@
 """The brute-force oracle itself, plus the formula-vs-oracle grid runner."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from layerscope.errors import TooLarge
 from layerscope.graphs import Family, GraphParams, build_explicit
 from layerscope.oracle import (
+    APSP_CAP,
     DistanceTable,
     GridSummary,
     oracle_class_counts,
@@ -78,6 +81,33 @@ def test_oracle_transition_table_rejects_two_shortest_path_successors():
     table.rows[w][z] = 0
     with pytest.raises(AssertionError):
         oracle_transition_table(g, table)
+
+
+@pytest.mark.parametrize(
+    "params,sources",
+    [
+        (GraphParams(B, 2, 6), None),
+        (GraphParams(K, 3, 4), None),
+        # 90,000 arcs would take 9 s; the first and last ids hold the leading
+        # and trailing bytes of the packed codes, and the loops sit at v = w
+        (GraphParams(B, 300, 1), (0, 1, 150, 299)),
+    ],
+)
+def test_arc_histogram_counts_zipped_rows(params, sources):
+    g = build_explicit(params)
+    table = DistanceTable(g)
+    for v_id in sources or range(len(g.vertices)):
+        for w_id in g.succ[v_id]:
+            assert table.arc_histogram(v_id, w_id) == Counter(zip(table.rows[v_id], table.rows[w_id]))
+
+
+def test_apsp_cap_keeps_pair_codes_in_one_byte():
+    # a code i*(D+1) + j fits a byte up to D = 15 (15*16 + 15 = 255); the
+    # smallest graph at D = 15 is already over the cap, B(2,14) is exactly at it
+    assert min(GraphParams(f, 2, 15).vertex_count for f in (B, K)) ** 2 > APSP_CAP
+    assert GraphParams(B, 2, 14).vertex_count ** 2 == APSP_CAP
+    with pytest.raises(TooLarge, match="n\\^2 = 351,562,500 bytes"):
+        DistanceTable(build_explicit(GraphParams(K, 5, 6)))
 
 
 def test_oracle_mean_distance_small():
@@ -165,13 +195,16 @@ def _inject(monkeypatch, quantity):
     import dataclasses
 
     if quantity == "distance":
-        from layerscope.graphs import distance as real_distance
+        from layerscope.graphs import distance_row as real_row
 
-        def broken_distance(params, v, z):
-            dist = real_distance(params, v, z)
-            return dist + 1 if dist == 2 and v[::-1] == z else dist
+        def broken_row(params, v):
+            row = real_row(params, v)
+            z_id = build_explicit(params).index_of(v[::-1])
+            if row[z_id] == 2:
+                row[z_id] = 3
+            return row
 
-        monkeypatch.setattr("layerscope.graphs.distance", broken_distance)
+        monkeypatch.setattr("layerscope.graphs.distance_row", broken_row)
     elif quantity in ("intersection_count", "unique_j0"):
         from layerscope.layers import intersection_report as real_report
 
