@@ -298,7 +298,9 @@ def cmd_markov(args) -> int:
                 f"{args.monte_carlo} packets x {float(overall):.6g} expected hops = "
                 f"{float(args.monte_carlo * overall):.3g} hops, above the walk budget of {WALK_HOP_BUDGET:,}"
             )
-        g = build_explicit(GraphParams(family, args.d, args.D), args.cap)
+        params = GraphParams(family, args.d, args.D)
+        params.check_apsp_cap()
+        g = build_explicit(params, args.cap)
         stats = simulate_walk_hops(g, float(p), args.monte_carlo, seed=args.seed)
         diff = abs(stats.mean - float(overall))
         bound = 3 * stats.stderr

@@ -33,6 +33,7 @@ Vertex = Tuple[int, ...]
 
 DEFAULT_VERTEX_CAP = 200_000
 CAP_ENV_VAR = "LAYERSCOPE_CAP"
+APSP_CAP = 2**28  # bytes of all-pairs distances, one per ordered pair
 
 
 class Family(Enum):
@@ -76,6 +77,11 @@ class GraphParams:
         if self.family is Family.KAUTZ:
             n += self.d ** (self.D - 1)
         return n
+
+    def check_apsp_cap(self) -> None:
+        """Raise TooLarge when one distance byte per ordered pair would exceed APSP_CAP."""
+        if self.vertex_count**2 > APSP_CAP:
+            raise TooLarge(f"{self} needs n^2 = {self.vertex_count**2:,} bytes, above the APSP cap of {APSP_CAP:,}")
 
     def __str__(self) -> str:
         return f"{self.family}({self.d},{self.D})"

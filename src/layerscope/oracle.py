@@ -1,10 +1,11 @@
-"""Brute-force ground truth by explicit enumeration and BFS.
+"""Brute-force ground truth by explicit enumeration and BFS, and the packet walk.
 
-Nothing here consults the closed-form layer predicates: distances come from
-breadth-first search on the materialized digraph, class sizes from grouping
-actual vertices, and probabilities from counting ordered pairs. The formula
-side of the package is validated against these numbers with exact rational
-equality (verify_grid).
+The verify oracle consults no closed form: distances come from breadth-first
+search on the materialized digraph, class sizes from grouping actual vertices,
+and probabilities from counting ordered pairs. The formula side of the package
+is validated against these numbers with exact rational equality (verify_grid).
+The packet walk routes on the closed-form rows of `graphs.distance_row`, which
+verify_graph checks against BFS.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import TooLarge
 from .graphs import (
+    APSP_CAP,
     ExplicitDigraph,
     Family,
     GraphParams,
@@ -24,8 +25,6 @@ from .graphs import (
     build_explicit,
     format_vertex,
 )
-
-APSP_CAP = 2**28  # bytes of all-pairs distances, one per ordered pair
 
 
 class DistanceTable:
@@ -39,8 +38,7 @@ class DistanceTable:
     """
 
     def __init__(self, g: ExplicitDigraph):
-        if len(g.vertices) ** 2 > APSP_CAP:
-            raise TooLarge(f"{g.params} needs n^2 = {len(g.vertices) ** 2:,} bytes, above the APSP cap of {APSP_CAP:,}")
+        g.params.check_apsp_cap()
         self.g = g
         self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
 
@@ -139,17 +137,19 @@ def simulate_walk_hops(
     uniform out-link other than the unique shortest-path successor, else it
     follows the shortest path. Deterministic for a fixed seed.
 
-    Costs n^2 bytes for the distance table (APSP) plus n^2 bytes of hop index
-    (one successor index per ordered pair, twice that from degree 256 on), and
-    O(n) Python objects.
+    The hop index is derived from table's rows when one is given, else from the
+    closed-form rows of `graphs.distance_row`: no BFS. Costs n^2 bytes of
+    distance rows plus n^2 bytes of hop index (one successor index per ordered
+    pair, twice that from degree 256 on), and O(n) Python objects.
     """
     import random
     from array import array
 
+    from .graphs import distance_row
+
+    g.params.check_apsp_cap()
     rng = random.Random(seed)
-    if table is None:
-        table = DistanceTable(g)
-    rows = table.rows
+    rows = [distance_row(g.params, v) for v in g.vertices] if table is None else table.rows
     succ = g.succ
     n = len(g.vertices)
     p = float(deflect_prob)
@@ -262,6 +262,7 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
     )
     from .vertex_classes import enumerate_classes
 
+    params.check_apsp_cap()
     g = build_explicit(params, max_vertices)
     table = DistanceTable(g)
     d, D = params.d, params.D
@@ -315,12 +316,10 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
     observed = oracle_class_counts(g)
     enumerated = {c.pattern: c for c in enumerate_classes(params.family, D)}
     for pattern, c in enumerated.items():
-        summary.record(
-            "class_cardinality",
-            {**ctx_base, "pattern": c.label()},
-            c.cardinality.evaluate(d),
-            observed.get(pattern, 0),
-        )
+        formula, oracle = c.cardinality.evaluate(d), observed.get(pattern, 0)
+        summary.checks += 1
+        if formula != oracle:
+            summary.mismatch("class_cardinality", {**ctx_base, "pattern": c.label()}, formula, oracle)
     stray = set(observed) - set(enumerated)
     if stray:
         summary.mismatch("class_enumeration", ctx_base, "no stray patterns", sorted(stray))

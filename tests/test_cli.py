@@ -148,6 +148,29 @@ def test_distance_table_over_the_apsp_cap_refused(capsys, argv):
     assert "K(5,6) needs n^2 = 351,562,500 bytes, above the APSP cap of 268,435,456" in err
 
 
+def _no_build(*_):
+    raise AssertionError("the graph was built before the APSP cap was checked")
+
+
+@pytest.mark.parametrize(
+    "namespace, argv, message",
+    [
+        ("layerscope.oracle", ["verify", "-f", "B", "-d", "2", "-D", "16"], "B(2,16) needs n^2 = 4,294,967,296 bytes"),
+        (
+            "layerscope.cli",
+            ["markov", "-f", "K", "-d", "5", "-D", "6", "-p", "1/10", "--monte-carlo", "10"],
+            "K(5,6) needs n^2 = 351,562,500 bytes",
+        ),
+    ],
+    ids=["verify", "markov"],
+)
+def test_apsp_cap_refused_before_the_graph_is_built(capsys, monkeypatch, namespace, argv, message):
+    monkeypatch.setattr(f"{namespace}.build_explicit", _no_build)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"error: {message}, above the APSP cap of 268,435,456\n" == err
+
+
 def test_markov_p_zero_equals_mean_distance(capsys):
     rc, out, _ = run_cli(capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "0")
     assert rc == 0

@@ -284,6 +284,38 @@ FAULT_RECORDS = {
 }
 
 
+# Oracle-side fault: a broken enumerate_classes would also reach the cached
+# class sums behind p_in and p_t, so the class counts are corrupted instead.
+# Records taken before the class-cardinality check built labels only on a
+# mismatch; the unrealizable B pattern 012 (0 at d = 2) must still be checked.
+def test_verify_reports_injected_class_cardinality_fault_exactly(monkeypatch):
+    real_counts = oracle_class_counts
+
+    def broken_counts(g):
+        counts = real_counts(g)
+        for pattern in ((0, 1, 0), (0, 1, 2)):
+            counts[pattern] = counts.get(pattern, 0) + 1
+        return counts
+
+    monkeypatch.setattr("layerscope.oracle.oracle_class_counts", broken_counts)
+    summary = GridSummary()
+    verify_graph(GraphParams(B, 2, 3), summary)
+    verify_graph(GraphParams(K, 2, 3), summary)
+    records = [
+        " ".join([m.quantity, *(f"{k}={v}" for k, v in m.context.items()), m.formula_value, m.oracle_value])
+        for m in summary.mismatches
+    ]
+    assert (summary.checks, records) == (
+        797,
+        [
+            "class_cardinality family=B d=2 D=3 pattern=010 2 3",
+            "class_cardinality family=B d=2 D=3 pattern=012 0 1",
+            "class_cardinality family=K d=2 D=3 pattern=010 6 7",
+            "class_cardinality family=K d=2 D=3 pattern=012 6 7",
+        ],
+    )
+
+
 @pytest.mark.parametrize("quantity", ["distance", "intersection_count", "unique_j0", "p_t"])
 def test_verify_reports_injected_faults_exactly(monkeypatch, quantity):
     _inject(monkeypatch, quantity)

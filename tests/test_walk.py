@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from layerscope.graphs import Family, GraphParams, build_explicit
+from layerscope.errors import TooLarge
+from layerscope.graphs import ExplicitDigraph, Family, GraphParams, build_explicit
 from layerscope.oracle import DistanceTable, simulate_walk_hops
 
 # WalkStats (mean, std) recorded with the n x n next-hop/alternatives tables
@@ -84,3 +85,35 @@ def test_walk_memory_below_four_bytes_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * n, peak
+
+
+@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda k: f"{Family[k[0]]}({k[1]},{k[2]})")
+def test_walk_stats_pinned_on_closed_form_rows(graph):
+    # no table: the hop index comes from graphs.distance_row, not from BFS
+    family, d, D = graph
+    g = build_explicit(GraphParams(Family[family], d, D))
+    for (key, p, seed, packets), (mean, std) in PINNED.items():
+        if key != graph:
+            continue
+        stats = simulate_walk_hops(g, float(Fraction(p)), packets, seed)
+        assert (stats.packets, stats.mean, stats.std) == (packets, mean, std), (p, seed)
+
+
+def test_walk_without_table_memory_below_four_bytes_per_pair():
+    g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
+    n = len(g.vertices)
+    assert n == 320
+    tracemalloc.start()
+    try:
+        simulate_walk_hops(g, 0.1, 20_000, 11)  # the n^2 distance rows are built inside
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n, peak
+
+
+def test_walk_refuses_over_the_apsp_cap_before_building_rows():
+    # an empty vertex list: the cap must be read off the parameters alone
+    g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices=(), succ=(), index={})
+    with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes"):
+        simulate_walk_hops(g, 0.1, 10, seed=1)
