@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .errors import IndexOutOfRange, NotASuccessor
 from .graphs import Family, GraphParams, Vertex, is_successor, successors
@@ -143,14 +143,17 @@ class LayerPolynomial:
         return self.to_poly().to_json()
 
 
-def layer_coefficients(family: Family, D: int, v: Vertex, i: int) -> List[int]:
-    """The bits a_0 .. a_{i-1} of |S_i*(v)| = d^i - sum a_k d^k: a_k = 1 exactly
-    when i = k + pi_k(v), except that k = D - 1 never counts for Kautz."""
+def layer_bits(family: Family, D: int, pi: Sequence[int], i: int) -> List[int]:
+    """The bits a_0 .. a_{i-1} of |S_i*| = d^i - sum a_k d^k for suffix periods pi:
+    a_k = 1 exactly when i = k + pi[k], except that k = D - 1 never counts for Kautz."""
     if not 0 <= i <= D:
         raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
-    pi = suffix_periods(v)
     skip = D - 1 if family is Family.KAUTZ else -1
     return [1 if k + pi[k] == i and k != skip else 0 for k in range(i)]
+
+
+def layer_coefficients(family: Family, D: int, v: Vertex, i: int) -> List[int]:
+    return layer_bits(family, D, suffix_periods(v), i)
 
 
 def layer_star_poly(params: GraphParams, v: Vertex, i: int) -> LayerPolynomial:
@@ -159,8 +162,11 @@ def layer_star_poly(params: GraphParams, v: Vertex, i: int) -> LayerPolynomial:
 
 
 def layer_poly_eval(family: Family, D: int, v: Vertex, i: int) -> LayerPolynomial:
-    a = layer_coefficients(family, D, v, i)
-    return LayerPolynomial.build(i, {k: 1 for k, bit in enumerate(a) if bit})
+    return layer_poly_periods(family, D, suffix_periods(v), i)
+
+
+def layer_poly_periods(family: Family, D: int, pi: Sequence[int], i: int) -> LayerPolynomial:
+    return LayerPolynomial.build(i, {k: 1 for k, a in enumerate(layer_bits(family, D, pi, i)) if a})
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +249,20 @@ def intersection_nonempty(params: GraphParams, v: Vertex, w: Vertex, i: int, j: 
 def unique_j0_eval(
     family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
 ) -> Optional[int]:
-    """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None.
+    """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None."""
+    return _forward_j0(family, D, v, w, i, d2_rules, suffix_periods(w))
 
-    j0 = i - 1 + pi(v_{i+1} .. v_D w_D), at most D as that word has D - i + 1
-    symbols. None only under d = 2 rules, for De Bruijn with v_i = ... = v_D
-    != w_D, where j0 would be D and the back intersection is the whole layer.
-    """
+
+def _forward_j0(
+    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool, pi_w: Sequence[int]
+) -> Optional[int]:
+    """j0 = i - 1 + pi(v_{i+1} .. v_D w_D) = i - 1 + pi_w[i-1], as w[i-1:] = v[i:] + w_D,
+    or None under d = 2 rules for De Bruijn with v_i = ... = v_D != w_D."""
     if not 1 <= i <= D:
         raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
     if d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] != w[-1]:
         return None
-    return i - 1 + suffix_periods(v[i:] + w[-1:])[0]
+    return i - 1 + pi_w[i - 1]
 
 
 def unique_j0(params: GraphParams, v: Vertex, w: Vertex, i: int) -> Optional[int]:
@@ -301,11 +310,17 @@ class IntersectionReport:
 def intersection_report_eval(
     family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
 ) -> IntersectionReport:
-    if not 1 <= i <= D:
-        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
-    a = layer_coefficients(family, D, v, i)
+    return report_from_periods(family, D, v, w, i, d2_rules, suffix_periods(v), suffix_periods(w))
+
+
+def report_from_periods(
+    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool,
+    pi_v: Sequence[int], pi_w: Sequence[int],
+) -> IntersectionReport:
+    """The report for w adjacent from v, from the suffix periods of both words."""
+    j0 = _forward_j0(family, D, v, w, i, d2_rules, pi_w)
+    a = layer_bits(family, D, pi_v, i)
     back_nonempty = not back_intersection_empty(family, v, w, i)
-    j0 = unique_j0_eval(family, D, v, w, i, d2_rules)
 
     if back_nonempty and j0 is not None:
         # b_k = 1 iff a_k = 1 and v_{D-i+k+1} = w_D, for k <= i - 2

@@ -3,8 +3,8 @@
 Input probability: P_in(i) is the chance that a uniform ordered pair of
 distinct vertices is at distance i. Averaging the layer polynomial over the
 vertex classes gives a rational function of d valid for every d >= 2; class
-sizes are summed per distinct layer polynomial first, and a concrete degree
-sums only the classes realizable there.
+sizes are summed per suffix-period vector (it fixes the layer polynomial at
+every i), and a concrete degree sums only the classes realizable there.
 
 Transition probability: a packet at v, destined to z at distance i, is
 deflected through a uniform choice among the d - 1 out-links other than the
@@ -17,12 +17,12 @@ summed over successors w of v, and P_t(i, j) weights the classes by their
 share of V. Per arc at most one j >= i contributes, so the row over
 j in [i, D] always sums to one.
 
-One per-class row kernel gives the numerators of P_t(i, j | v) for every
-j >= i at once, from one intersection report per successor archetype (the
-report of an arc at i does not depend on j). The denominator depends on a
-class only through its layer polynomial at i, so the class sums group the
-numerators by that polynomial, cached per (family, D, i, d), and build one
-fraction per distinct layer polynomial instead of one per class. Symbolic
+One per-class kernel gives the numerators of P_t(i, j | v) for every i and
+j >= i at once, from one suffix-period vector of v and one of each successor
+archetype w (w[i-1:] = v[i:] + w_D puts every j0 in the periods of w). The
+denominator depends on a class only through its layer polynomial at i, so one
+pass over the classes, cached per (family, D, d), groups the numerators by it
+and builds one fraction per distinct layer polynomial, not one per class. Symbolic
 tables sum under the d >= 3 intersection criteria and carry that validity
 tag; a concrete degree evaluates the same sums in exact fractions, with the
 d = 2 criteria (which differ for De Bruijn) exactly at d = 2.
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
 from .graphs import Family, Vertex, vertex_count_poly
-from .layers import intersection_report_eval, layer_poly_eval
+from .layers import layer_poly_eval, layer_poly_periods, report_from_periods, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction
 from .vertex_classes import VertexClass, classes_realizable, enumerate_classes
 
@@ -65,17 +65,21 @@ def _concrete_degree(regime: Regime) -> Optional[int]:
 
 @functools.lru_cache(maxsize=None)
 def _layer_sums(
-    family: Family, D: int, i: int, d: Optional[int] = None
-) -> Dict[IntPolynomial, IntPolynomial]:
-    """{layer polynomial at i: sum_c |c|} over the classes sharing it.
-
-    Over every class when d is None; else over the classes realizable at d.
-    """
+    family: Family, D: int, d: Optional[int] = None
+) -> List[Dict[IntPolynomial, IntPolynomial]]:
+    """sums[i] = {layer polynomial at i: sum_c |c|}, with class sizes summed once per
+    suffix-period vector, which fixes the layer polynomial at every i. Over every
+    class when d is None; else over the classes realizable at d."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
-    sums: Dict[IntPolynomial, IntPolynomial] = {}
+    by_periods: Dict[Tuple[int, ...], IntPolynomial] = {}
     for c in classes:
-        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-        sums[layer] = sums.get(layer, IntPolynomial.zero()) + c.cardinality
+        pi = tuple(suffix_periods(c.pattern))
+        by_periods[pi] = by_periods.get(pi, IntPolynomial.zero()) + c.cardinality
+    sums: List[Dict[IntPolynomial, IntPolynomial]] = [{} for _ in range(D + 1)]
+    for pi, size in by_periods.items():
+        for i, by_layer in enumerate(sums):
+            layer = layer_poly_periods(family, D, pi, i).to_poly()
+            by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + size
     return sums
 
 
@@ -85,7 +89,7 @@ def p_in(family: Family, D: int, i: int) -> RationalFunction:
     if not 1 <= i <= D:
         raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
     num = IntPolynomial.zero()
-    for layer, size in _layer_sums(family, D, i).items():
+    for layer, size in _layer_sums(family, D)[i].items():
         num = num + size * layer
     total = vertex_count_poly(family, D)
     den = total * (total - IntPolynomial.one())
@@ -96,7 +100,7 @@ def p_in_value(family: Family, d: int, D: int, i: int) -> Fraction:
     """Exact P_in(i) at a concrete degree d >= 2, over the classes realizable there."""
     if not 1 <= i <= D:
         raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
-    sums = _layer_sums(family, D, i, d)
+    sums = _layer_sums(family, D, d)[i]
     pairs = sum(layer.evaluate(d) * size.evaluate(d) for layer, size in sums.items())
     n = vertex_count_poly(family, D).evaluate(d)
     return Fraction(pairs, n * (n - 1))
@@ -148,46 +152,41 @@ def _successor_archetypes(
     return out
 
 
-def _class_transition_row(
-    family: Family, D: int, pattern: Vertex, i: int, d: Optional[int] = None
-) -> Dict[int, IntPolynomial]:
-    """{j: sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)|} over j >= i, as polynomials in d.
-
-    One intersection report per successor archetype: only its forward j0 is
-    at or above i, so each archetype adds to at most one j. Symbolic (d >= 3
-    criteria) when d is None; else exact at d only, under the d = 2 criteria
-    exactly when d == 2.
-    """
-    row: Dict[int, IntPolynomial] = {}
+def _class_transition_rows(
+    family: Family, D: int, pattern: Vertex, d: Optional[int] = None
+) -> List[Dict[int, IntPolynomial]]:
+    """rows[i] = {j: sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)|} over j >= i
+    for every i in [1, D], from one suffix-period vector of v and one of each
+    successor archetype w. Symbolic (d >= 3 criteria) when d is None; else
+    exact at d only, under the d = 2 criteria exactly when d == 2."""
+    pi_v = suffix_periods(pattern)
+    rows: List[Dict[int, IntPolynomial]] = [{} for _ in range(D + 1)]
     for w, weight in _successor_archetypes(family, pattern, d):
-        report = intersection_report_eval(family, D, pattern, w, i, d2_rules=d == 2)
-        j = report.forward_j
-        if j is not None:
-            row[j] = row.get(j, IntPolynomial.zero()) + weight * report.forward.to_poly()
-    return row
+        pi_w = suffix_periods(w)
+        for i, row in enumerate(rows[1:], 1):
+            report = report_from_periods(family, D, pattern, w, i, d == 2, pi_v, pi_w)
+            j = report.forward_j
+            if j is not None:
+                row[j] = row.get(j, IntPolynomial.zero()) + weight * report.forward.to_poly()
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
 def _transition_sums(
-    family: Family, D: int, i: int, d: Optional[int] = None
-) -> Dict[int, Dict[IntPolynomial, IntPolynomial]]:
-    """{j: {layer polynomial at i: sum_c |c| * row_c[j]}} over the classes.
-
-    The P_t(i, j | v) denominator (d - 1) |S_i*(v)| depends on a class only
-    through its layer polynomial, so numerators sharing one are summed as
-    integer polynomials first. Symbolic over every class when d is None;
-    else over the classes realizable at d, with the kernel at d.
-    """
+    family: Family, D: int, d: Optional[int] = None
+) -> List[Dict[int, Dict[IntPolynomial, IntPolynomial]]]:
+    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}, every i in one
+    pass over the classes, each layer read off the class's suffix periods: over
+    every class when d is None; else over the classes realizable at d, kernel at d."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
-    sums: Dict[int, Dict[IntPolynomial, IntPolynomial]] = {}
+    sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
     for c in classes:
-        row = _class_transition_row(family, D, c.pattern, i, d)
-        if not row:
-            continue
-        layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-        for j, num in row.items():
-            by_layer = sums.setdefault(j, {})
-            by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + c.cardinality * num
+        pi = suffix_periods(c.pattern)
+        for i, row in enumerate(_class_transition_rows(family, D, c.pattern, d)[1:], 1):
+            layer = layer_poly_periods(family, D, pi, i).to_poly()
+            for j, num in row.items():
+                by_layer = sums[i].setdefault(j, {})
+                by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + c.cardinality * num
     return sums
 
 
@@ -209,7 +208,7 @@ def p_t_conditional(
     d = _concrete_degree(regime)
     if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
-    num = _class_transition_row(family, D, c.pattern, i, d).get(j, IntPolynomial.zero())
+    num = _class_transition_rows(family, D, c.pattern, d)[i].get(j, IntPolynomial.zero())
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
     den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
     if d is None:
@@ -228,7 +227,7 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
     total_poly = vertex_count_poly(family, D)
     dm1 = IntPolynomial((-1, 1))
     acc = RationalFunction.zero()
-    for layer, num in _transition_sums(family, D, i).get(j, {}).items():
+    for layer, num in _transition_sums(family, D)[i].get(j, {}).items():
         acc = acc + RationalFunction(num, dm1 * layer * total_poly)
     return acc
 
@@ -246,7 +245,7 @@ def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     if d < 2:
         raise ValueError(f"degree d must be >= 2, got {d}")
     total = Fraction(0)
-    for layer, num in _transition_sums(family, D, i, d).get(j, {}).items():
+    for layer, num in _transition_sums(family, D, d)[i].get(j, {}).items():
         total += Fraction(num.evaluate(d), layer.evaluate(d))
     return total / ((d - 1) * vertex_count_poly(family, D).evaluate(d))
 

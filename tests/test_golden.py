@@ -17,6 +17,9 @@ GOLDEN = {
     "pt -f K -D 5 -d 2 --format json": "8b82c668b423232104697b294c8504fde41929114cf94180810cbe4f54b2d229",
     "pt -f B -D 5 -d 3 --format csv": "1db7df4f42e56fe266e29cd097d60a9235fec45d6e67edc92d59478ac53add67",
     "pin -f K -D 6": "8acecb71d7e64fc4e09c82103969bdfb94008179902595212c96d7f0f7f6147c",
+    "pin -f B -D 9": "17ce5bec17241714fb1a242e36c3fcb68ccf5d9495ad5ab14187a1032300f9b7",
+    "pin -f K -D 9 -d 2 --format json": "1318e6e6d99e09275094b781afe4aefa0f7ed964e1281be18d9f9a441f59f9e7",
+    "pt -f K -D 7 --format csv": "c2981fcec5963ecc77c78f2fc0b643d55e6430a9b83b6061517d7369c1dac24c",
     "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",
     "verify -f B -d 2 -D 5": "c6e9d21a896375004724113b1dc343b6f150356bf4bb055a9edb13d6fa8886ab",
     "verify -f K -d 3 -D 3": "024c91aa237fbba11f433e2a81df98343a23ac136d2993fc20f212f7b47150d3",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscope.errors import PoleAtValue, ZeroDenominator
 from layerscope.polynomials import IntPolynomial, RationalFunction, poly_gcd
@@ -154,3 +156,32 @@ def test_random_rf_canonicalization_stable():
         # arithmetic results come back canonical as well
         s = rf + rf
         assert RationalFunction(s.num, s.den) == s
+
+
+# properties on random polynomials, derandomized and without an example database
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_polys = st.lists(st.integers(-6, 6), max_size=6).map(P)
+_nonzero = _polys.filter(lambda p: not p.is_zero)
+
+
+@_PROPERTY
+@given(_polys, _nonzero, _nonzero)
+def test_rf_canonical_form_ignores_common_factor(num, den, factor):
+    rf = RationalFunction(num, den)
+    scaled = RationalFunction(num * factor, den * factor)
+    assert scaled == rf and scaled.format() == rf.format()
+
+
+@_PROPERTY
+@given(_polys, _nonzero)
+def test_rf_json_round_trip_keeps_value_and_hash(num, den):
+    rf = RationalFunction(num, den)
+    again = RationalFunction.from_json(rf.to_json())
+    assert again == rf and hash(again) == hash(rf)
+
+
+@_PROPERTY
+@given(_polys, _nonzero, st.integers(-8, 8))
+def test_rf_evaluate_matches_raw_quotient(num, den, x):
+    if den.evaluate(x) != 0:
+        assert RationalFunction(num, den).evaluate(x) == Fraction(num.evaluate(x), den.evaluate(x))

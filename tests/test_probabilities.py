@@ -17,7 +17,8 @@ import pytest
 from layerscope.errors import ChainDiverges, InvalidRange, RegimeRequired
 from layerscope.graphs import Family, GraphParams, build_explicit, vertex_count_poly
 from layerscope.oracle import oracle_transition_table
-from layerscope.polynomials import RationalFunction
+from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
+from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
     asymptotic_check,
     build_chain,
@@ -88,6 +89,24 @@ def test_p_in_value_matches_symbolic_and_class_by_class(family, d):
                 acc += c.cardinality.evaluate(d) * p_in_conditional(family, D, c, i).evaluate(d)
             value = p_in_value(family, d, D, i)
             assert value == acc / total == p_in(family, D, i).evaluate(d), (D, i)
+
+
+@pytest.mark.parametrize("family,max_D", [(B, 8), (K, 9)])
+def test_grouped_p_in_matches_per_class_layer_sums(family, max_D):
+    # p_in and p_in_value group classes by suffix-period vector; the
+    # definition adds |c| * |S_i*(c)| class by class through the per-word API.
+    for D in range(1, max_D + 1):
+        classes = enumerate_classes(family, D)
+        n = vertex_count_poly(family, D)
+        den = n * (n - IntPolynomial.one())
+        for i in range(1, D + 1):
+            num = IntPolynomial.zero()
+            for c in classes:
+                num = num + c.cardinality * layer_poly_eval(family, D, c.pattern, i).to_poly()
+            assert p_in(family, D, i) == RationalFunction(num, den), (D, i)
+            for d in (2, 3):
+                value = p_in_value(family, d, D, i)
+                assert value == Fraction(num.evaluate(d), den.evaluate(d)), (D, i, d)
 
 
 def test_input_table_normalized():
@@ -254,6 +273,35 @@ def test_p_t_value_matches_class_by_class_fractions(family, d):
                     cond = p_t_conditional(family, D, c, i, j, regime=d).evaluate(d)
                     acc += c.cardinality.evaluate(d) * cond
                 assert p_t_value(family, d, D, i, j) == acc / total, (D, i, j)
+
+
+def _p_t_from_arc_reports(family, d, D):
+    """{(i, j): P_t(i, j)} from one intersection_report_eval per concrete arc
+    of each realizable class representative, summed in exact fractions."""
+    alphabet = d if family is B else d + 1
+    acc = {(i, j): Fraction(0) for i in range(1, D + 1) for j in range(i, D + 1)}
+    for c in classes_realizable(family, D, d):
+        v = c.pattern
+        size = c.cardinality.evaluate(d)
+        arcs = [v[1:] + (x,) for x in range(alphabet) if family is B or x != v[-1]]
+        for i in range(1, D + 1):
+            den = (d - 1) * layer_poly_eval(family, D, v, i).evaluate(d)
+            for w in arcs:
+                report = intersection_report_eval(family, D, v, w, i, d2_rules=d == 2)
+                for j in range(i, D + 1):
+                    acc[(i, j)] += Fraction(size * intersection_poly_at(report, j).evaluate(d), den)
+    n = vertex_count_poly(family, D).evaluate(d)
+    return {key: value / n for key, value in acc.items()}
+
+
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("D", [6, 7])
+def test_p_t_value_matches_per_arc_report_fractions(family, d, D):
+    # independent of the class kernel: every concrete successor of each
+    # representative, one per-arc report each, no successor archetypes
+    for (i, j), value in _p_t_from_arc_reports(family, d, D).items():
+        assert p_t_value(family, d, D, i, j) == value, (i, j)
 
 
 def test_p_t_table_b6_matches_sympy():
