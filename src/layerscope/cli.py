@@ -33,7 +33,7 @@ from .probabilities import (
 from .vertex_classes import canonical_pattern
 
 # markov --monte-carlo refuses walks longer than this in expected total hops
-# (about a minute at 0.4-0.6 microseconds per hop)
+# (20-30 s at 0.2-0.26 microseconds per hop, K(4,5) to B(4,6), p from 1/10 to 9/10)
 WALK_HOP_BUDGET = 10**8
 
 

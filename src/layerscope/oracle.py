@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .errors import ChainDiverges
 from .graphs import (
     APSP_CAP,
     ExplicitDigraph,
@@ -141,12 +142,19 @@ def simulate_walk_hops(
     closed-form rows of `graphs.distance_row`: no BFS. Costs n^2 bytes of
     distance rows plus n^2 bytes of hop index (one successor index per ordered
     pair, twice that from degree 256 on), and O(n) Python objects.
+
+    Raises ChainDiverges at deflect_prob 1 (no packet would arrive) and
+    ValueError for deflect_prob outside [0, 1) or fewer than 2 packets.
     """
     import random
     from array import array
 
     from .graphs import distance_row
 
+    if deflect_prob == 1:
+        raise ChainDiverges("deflection probability 1: no packet reaches its destination")
+    if not 0 <= deflect_prob < 1 or packets < 2:
+        raise ValueError(f"need 0 <= deflect_prob < 1 and packets >= 2, got {deflect_prob} and {packets}")
     g.params.check_apsp_cap()
     rng = random.Random(seed)
     rows = [distance_row(g.params, v) for v in g.vertices] if table is None else table.rows
@@ -178,29 +186,39 @@ def simulate_walk_hops(
         hop_rows.append(array(code, hop.to_bytes(n * width, "big")))
         if sys.byteorder == "little":
             hop_rows[-1].byteswap()
-    # a deflection takes the k-th of the d - 1 out-links other than h; choice()
-    # over this range draws k exactly as a choice among those links would
-    others = range(g.params.d - 1)
+    # Random.randrange(m) and Random.choice(range(m)) both draw getrandbits
+    # of m's bit length until the value is below m; the walk makes the same
+    # draws in the same order. A deflection takes the k-th of the d - 1
+    # out-links other than h, as a choice among those links would.
+    getrandbits, rand = rng.getrandbits, rng.random
+    m, others = n - 1, g.params.d - 1
+    n_bits, m_bits, k_bits = n.bit_length(), m.bit_length(), others.bit_length()
 
     total = 0.0
     total_sq = 0.0
-    rand = rng.random
-    choice = rng.choice
-    randrange = rng.randrange
     for _ in range(packets):
-        u = randrange(n)
-        z = randrange(n - 1)
+        u = getrandbits(n_bits)
+        while u >= n:
+            u = getrandbits(n_bits)
+        z = getrandbits(m_bits)
+        while z >= m:
+            z = getrandbits(m_bits)
         if z >= u:
             z += 1
-        hops = 0
-        while u != z:
-            h = hop_rows[u][z]
-            if p and rand() < p:
-                k = choice(others)
-                u = succ[u][k + (k >= h)]
-            else:
-                u = succ[u][h]
-            hops += 1
+        if not p:  # no draw per hop: the packet follows the shortest path
+            hops = rows[u][z]
+        else:
+            hops = 0
+            while u != z:
+                h = hop_rows[u][z]
+                if rand() < p:
+                    k = getrandbits(k_bits)
+                    while k >= others:
+                        k = getrandbits(k_bits)
+                    u = succ[u][k + (k >= h)]
+                else:
+                    u = succ[u][h]
+                hops += 1
         total += hops
         total_sq += hops * hops
     mean = total / packets

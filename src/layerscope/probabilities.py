@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
 from .graphs import Family, Vertex, vertex_count_poly
@@ -153,17 +153,17 @@ def _successor_archetypes(
 
 
 def _class_transition_rows(
-    family: Family, D: int, pattern: Vertex, d: Optional[int] = None
-) -> List[Dict[int, IntPolynomial]]:
+    family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]
+) -> Dict[int, Dict[int, IntPolynomial]]:
     """rows[i] = {j: sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)|} over j >= i
-    for every i in [1, D], from one suffix-period vector of v and one of each
+    for every i in levels, from one suffix-period vector of v and one of each
     successor archetype w. Symbolic (d >= 3 criteria) when d is None; else
     exact at d only, under the d = 2 criteria exactly when d == 2."""
     pi_v = suffix_periods(pattern)
-    rows: List[Dict[int, IntPolynomial]] = [{} for _ in range(D + 1)]
+    rows: Dict[int, Dict[int, IntPolynomial]] = {i: {} for i in levels}
     for w, weight in _successor_archetypes(family, pattern, d):
         pi_w = suffix_periods(w)
-        for i, row in enumerate(rows[1:], 1):
+        for i, row in rows.items():
             report = report_from_periods(family, D, pattern, w, i, d == 2, pi_v, pi_w)
             j = report.forward_j
             if j is not None:
@@ -182,7 +182,7 @@ def _transition_sums(
     sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
     for c in classes:
         pi = suffix_periods(c.pattern)
-        for i, row in enumerate(_class_transition_rows(family, D, c.pattern, d)[1:], 1):
+        for i, row in _class_transition_rows(family, D, c.pattern, d, range(1, D + 1)).items():
             layer = layer_poly_periods(family, D, pi, i).to_poly()
             for j, num in row.items():
                 by_layer = sums[i].setdefault(j, {})
@@ -208,7 +208,7 @@ def p_t_conditional(
     d = _concrete_degree(regime)
     if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
-    num = _class_transition_rows(family, D, c.pattern, d)[i].get(j, IntPolynomial.zero())
+    num = _class_transition_rows(family, D, c.pattern, d, (i,))[i].get(j, IntPolynomial.zero())
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
     den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
     if d is None:

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import layerscope
 from layerscope.cli import main
 from layerscope.polynomials import RationalFunction
 
@@ -73,6 +77,18 @@ def test_pin_golden_table(capsys):
     assert "(d^4 - 1) / (d^6 + d^5 - d^2)" in out
     assert "(d^5 - d^2 - d + 1) / (d^6 + d^5 - d^2)" in out
     assert "(d^5 - d^3 - d^2 + 1) / (d^5 + d^4 - d)" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["pin", "-f", "K", "-D", "3"]
+    rc, out, _ = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(layerscope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "layerscope", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert rc == 0
+    assert (proc.returncode, proc.stdout) == (0, out)
 
 
 def test_pin_concrete_value(capsys):

@@ -23,6 +23,8 @@ GOLDEN = {
     "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",
     "verify -f B -d 2 -D 5": "c6e9d21a896375004724113b1dc343b6f150356bf4bb055a9edb13d6fa8886ab",
     "verify -f K -d 3 -D 3": "024c91aa237fbba11f433e2a81df98343a23ac136d2993fc20f212f7b47150d3",
+    "markov -f K -d 4 -D 5 -p 1/10 --monte-carlo 20000 --seed 5 --format json": "e9912f1a386e87cc460dce2cc16d4098d1a7129ebdd766ba5f6d1a67a3c6bc10",
+    "markov -f K -d 3 -D 4 -p 0 --monte-carlo 5000 --seed 3": "3fe5ee4051b9f3d170be90b67a73897a6b6d23f4cf67d5bbbe06e803061f822f",
 }
 
 

@@ -20,6 +20,7 @@ from layerscope.oracle import oracle_transition_table
 from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
 from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
+    SYMBOLIC_D_GE_3,
     asymptotic_check,
     build_chain,
     expected_hops,
@@ -143,6 +144,32 @@ def test_p_t_conditional_examples():
     assert p_t_conditional(K, 12, c, 1, 6).is_zero
     c = _class(K, 4, (0, 1, 0, 1))
     assert p_t_conditional(K, 4, c, 1, 2).format() == "1 / d"
+
+
+@pytest.mark.parametrize(
+    "family, pattern, regime, archetypes",
+    [
+        (K, (0, 1, 2) * 2, SYMBOLIC_D_GE_3, 3),  # the two symbols other than the last, one fresh
+        (B, (0, 1, 0, 2, 1, 0), SYMBOLIC_D_GE_3, 4),  # every used symbol, one fresh
+        (B, (0, 1, 1, 0, 1, 0), 2, 2),  # d = 2: no fresh symbol is left
+    ],
+)
+def test_p_t_conditional_builds_one_report_per_successor_archetype(
+    monkeypatch, family, pattern, regime, archetypes
+):
+    import layerscope.probabilities as probabilities
+
+    calls = []
+    real = probabilities.report_from_periods
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(probabilities, "report_from_periods", counting)
+    c = _class(family, len(pattern), pattern)
+    p_t_conditional(family, len(pattern), c, 2, 4, regime=regime)
+    assert calls == [2] * archetypes  # the kernel fills row i = 2 only
 
 
 def test_p_t_conditional_matches_per_class_oracle():

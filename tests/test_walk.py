@@ -1,13 +1,18 @@
 """The seeded packet walk: pinned statistics, the hop-index check and its memory."""
 
+import functools
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layerscope.errors import TooLarge
+import layerscope.graphs
+from layerscope.errors import ChainDiverges, TooLarge
 from layerscope.graphs import ExplicitDigraph, Family, GraphParams, build_explicit
-from layerscope.oracle import DistanceTable, simulate_walk_hops
+from layerscope.oracle import DistanceTable, WalkStats, simulate_walk_hops
 
 # WalkStats (mean, std) recorded with the n x n next-hop/alternatives tables
 # that the hop index replaced; every seed must reproduce them bit for bit.
@@ -117,3 +122,93 @@ def test_walk_refuses_over_the_apsp_cap_before_building_rows():
     g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices=(), succ=(), index={})
     with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes"):
         simulate_walk_hops(g, 0.1, 10, seed=1)
+
+
+def reference_walk(g, table, deflect_prob, packets, seed):
+    """The packet loop as first written: Random.randrange and Random.choice,
+    and the shortest-path successor searched per hop in the BFS rows."""
+    rng = random.Random(seed)
+    rows, succ, n = table.rows, g.succ, len(g.vertices)
+    others = range(g.params.d - 1)
+    total = total_sq = 0.0
+    for _ in range(packets):
+        u = rng.randrange(n)
+        z = rng.randrange(n - 1)
+        if z >= u:
+            z += 1
+        hops = 0
+        while u != z:
+            h = next(k for k, w in enumerate(succ[u]) if rows[w][z] < rows[u][z])
+            if deflect_prob and rng.random() < deflect_prob:
+                k = rng.choice(others)
+                u = succ[u][k + (k >= h)]
+            else:
+                u = succ[u][h]
+            hops += 1
+        total += hops
+        total_sq += hops * hops
+    mean = total / packets
+    var = max(total_sq / packets - mean * mean, 0.0) * packets / (packets - 1)
+    return WalkStats(packets=packets, mean=mean, std=var**0.5)
+
+
+# every (family, d, D) with at most 400 vertices and d <= 16: n a power of two
+# (B(2,8), B(4,4), K(3,2), ...) or not, and d = 2, where a deflection has one
+# link to choose from but still draws for it
+_SMALL = [
+    (family, d, D)
+    for family in Family
+    for d in range(2, 17)
+    for D in range(1, 9)
+    if GraphParams(family, d, D).vertex_count <= 400
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_and_table(family, d, D):
+    g = build_explicit(GraphParams(family, d, D))
+    return g, DistanceTable(g)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    graph=st.sampled_from(_SMALL),
+    p=st.sampled_from(["0", "1/10", "1/2"]),
+    packets=st.integers(2, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_matches_reference_randrange_and_choice_walk(graph, p, packets, seed):
+    g, table = _graph_and_table(*graph)
+    want = reference_walk(g, table, float(Fraction(p)), packets, seed)
+    assert simulate_walk_hops(g, float(Fraction(p)), packets, seed) == want
+    assert simulate_walk_hops(g, float(Fraction(p)), packets, seed, table=table) == want
+
+
+@pytest.fixture
+def rows_refused(monkeypatch):
+    """K(2,3) with distance_row patched to raise: the input checks must come first."""
+
+    def refuse(params, v):
+        raise RuntimeError("distance rows built before the inputs were checked")
+
+    monkeypatch.setattr(layerscope.graphs, "distance_row", refuse)
+    return build_explicit(GraphParams(Family.KAUTZ, 2, 3))
+
+
+def test_walk_at_deflection_one_diverges_before_building_rows(rows_refused):
+    # at p = 1 a packet one hop from z is always deflected away: no walk ends
+    with pytest.raises(ChainDiverges):
+        simulate_walk_hops(rows_refused, 1.0, 10, seed=1)
+
+
+@pytest.mark.parametrize("deflect_prob", [-0.1, 1.5, float("nan")])
+def test_walk_rejects_deflection_outside_unit_interval(rows_refused, deflect_prob):
+    with pytest.raises(ValueError, match="deflect_prob"):
+        simulate_walk_hops(rows_refused, deflect_prob, 10, seed=1)
+
+
+@pytest.mark.parametrize("packets", [0, 1])
+def test_walk_rejects_fewer_than_two_packets(rows_refused, packets):
+    # the sample std divides by packets - 1
+    with pytest.raises(ValueError, match="packets >= 2"):
+        simulate_walk_hops(rows_refused, 0.1, packets, seed=1)
