@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -39,6 +40,11 @@ WALK_HOP_BUDGET = 10**8
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the tool reserves 2 for caps."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1/2 is a value, not an option, so it reaches the range check of -p
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

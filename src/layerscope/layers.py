@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotASuccessor
 from .graphs import Family, GraphParams, Vertex, is_successor, successors
@@ -120,6 +120,13 @@ class LayerPolynomial:
                 raise ValueError(f"sub-coefficient {c} at power {k} outside {allowed}")
         return cls(top=top, sub=items)
 
+    @classmethod
+    def from_mask(cls, top: int, mask: int, lead: int = 0) -> "LayerPolynomial":
+        """d^top - sum d^k over the set bits k of mask - lead * d^(top-1)."""
+        sub = {k: 1 for k in range(top) if mask >> k & 1}
+        sub[top - 1] = sub.get(top - 1, 0) + lead
+        return cls.build(top, sub)
+
     def coefficient(self, k: int) -> int:
         for power, c in self.sub:
             if power == k:
@@ -143,13 +150,22 @@ class LayerPolynomial:
         return self.to_poly().to_json()
 
 
+def layer_masks(family: Family, D: int, pi: Sequence[int]) -> List[int]:
+    """masks[i], i = 0 .. D, holds the bits a_k of |S_i*| = d^i - sum a_k d^k for suffix
+    periods pi: a_k = 1 exactly when i = k + pi[k], except that k = D - 1 never counts
+    for Kautz."""
+    masks = [0] * (D + 1)
+    for k, p in enumerate(pi[: D - 1] if family is Family.KAUTZ else pi):
+        masks[k + p] |= 1 << k
+    return masks
+
+
 def layer_bits(family: Family, D: int, pi: Sequence[int], i: int) -> List[int]:
-    """The bits a_0 .. a_{i-1} of |S_i*| = d^i - sum a_k d^k for suffix periods pi:
-    a_k = 1 exactly when i = k + pi[k], except that k = D - 1 never counts for Kautz."""
+    """The bits a_0 .. a_{i-1} of layer_masks(family, D, pi)[i]."""
     if not 0 <= i <= D:
         raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
-    skip = D - 1 if family is Family.KAUTZ else -1
-    return [1 if k + pi[k] == i and k != skip else 0 for k in range(i)]
+    a = layer_masks(family, D, pi)[i]
+    return [a >> k & 1 for k in range(i)]
 
 
 def layer_coefficients(family: Family, D: int, v: Vertex, i: int) -> List[int]:
@@ -250,19 +266,7 @@ def unique_j0_eval(
     family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
 ) -> Optional[int]:
     """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None."""
-    return _forward_j0(family, D, v, w, i, d2_rules, suffix_periods(w))
-
-
-def _forward_j0(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool, pi_w: Sequence[int]
-) -> Optional[int]:
-    """j0 = i - 1 + pi(v_{i+1} .. v_D w_D) = i - 1 + pi_w[i-1], as w[i-1:] = v[i:] + w_D,
-    or None under d = 2 rules for De Bruijn with v_i = ... = v_D != w_D."""
-    if not 1 <= i <= D:
-        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
-    if d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] != w[-1]:
-        return None
-    return i - 1 + pi_w[i - 1]
+    return intersection_report_eval(family, D, v, w, i, d2_rules).forward_j
 
 
 def unique_j0(params: GraphParams, v: Vertex, w: Vertex, i: int) -> Optional[int]:
@@ -313,34 +317,41 @@ def intersection_report_eval(
     return report_from_periods(family, D, v, w, i, d2_rules, suffix_periods(v), suffix_periods(w))
 
 
+def forward_rule(
+    family: Family, D: int, i: int, a: int, same: int, pi_v: Sequence[int], pi_w: Sequence[int]
+) -> Tuple[int, int, int]:
+    """(j0, m, t) with |S_i*(v) cap S_j0*(w)| = d^i - sum_{k<i-1} m_k d^k - t d^(i-1) under
+    the d >= 3 criteria, for w = v[1:] + x, v's layer mask a at i and same = the bits p
+    with v[p] = x. j0 = i - 1 + pi_w[i-1], as w[i-1:] = v[i:] + x. With v_i .. v_D = x
+    (De Bruijn) the forward set is the layer; else the bits k of a with v_{D-i+k+1} = x
+    go to the back set, and t = a_{i-1} + 1."""
+    low, top = a & ((1 << (i - 1)) - 1), a >> (i - 1)
+    if family is Family.DEBRUIJN and pi_v[i - 1] == 1 and same >> (D - 1) & 1:
+        return i - 1 + pi_w[i - 1], low, top
+    return i - 1 + pi_w[i - 1], low & ~(same >> (D - i)), top + 1
+
+
 def report_from_periods(
     family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool,
     pi_v: Sequence[int], pi_w: Sequence[int],
 ) -> IntersectionReport:
     """The report for w adjacent from v, from the suffix periods of both words."""
-    j0 = _forward_j0(family, D, v, w, i, d2_rules, pi_w)
-    a = layer_bits(family, D, pi_v, i)
-    back_nonempty = not back_intersection_empty(family, v, w, i)
-
-    if back_nonempty and j0 is not None:
-        # b_k = 1 iff a_k = 1 and v_{D-i+k+1} = w_D, for k <= i - 2
-        b = {k: 1 for k in range(i - 1) if a[k] == 1 and v[D - i + k] == w[-1]}
-        back = LayerPolynomial.build(i - 1, b)
-        fwd_sub = {k: a[k] - b.get(k, 0) for k in range(i - 1)}
-        fwd_sub[i - 1] = a[i - 1] + 1
-        forward = LayerPolynomial.build(i, fwd_sub)
-        return IntersectionReport(v, w, i, IntersectionCase.SPLIT, back, j0, forward)
-
-    if not back_nonempty:
+    if not 1 <= i <= D:
+        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
+    a = layer_masks(family, D, pi_v)[i]
+    same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
+    j0, m, t = forward_rule(family, D, i, a, same, pi_v, pi_w)
+    forward = LayerPolynomial.from_mask(i, m, t)
+    if back_intersection_empty(family, v, w, i):
         assert j0 == i, "empty back intersection forces a forward intersection at j = i"
-        forward = LayerPolynomial.build(i, {k: a[k] for k in range(i)})
         return IntersectionReport(v, w, i, IntersectionCase.FORWARD_ONLY, None, i, forward)
-
-    # no forward j at all: d = 2 De Bruijn with constant tail; a_{i-1} = 1 lets
-    # the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
-    assert d2_rules and family is Family.DEBRUIJN and a[i - 1] == 1
-    back = LayerPolynomial.build(i - 1, {k: a[k] for k in range(i - 1)})
-    return IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None)
+    if d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i):
+        # no forward j at all at d = 2: v_i = ... = v_D != w_D; a_{i-1} = 1 lets
+        # the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
+        back = LayerPolynomial.from_mask(i - 1, a)
+        return IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None)
+    back = LayerPolynomial.from_mask(i - 1, a & ~m)  # from_mask(i - 1, .) keeps bits k < i - 1
+    return IntersectionReport(v, w, i, IntersectionCase.SPLIT, back, j0, forward)
 
 
 def intersection_report(params: GraphParams, v: Vertex, w: Vertex, i: int) -> IntersectionReport:

@@ -140,8 +140,9 @@ def simulate_walk_hops(
 
     The hop index is derived from table's rows when one is given, else from the
     closed-form rows of `graphs.distance_row`: no BFS. Costs n^2 bytes of
-    distance rows plus n^2 bytes of hop index (one successor index per ordered
-    pair, twice that from degree 256 on), and O(n) Python objects.
+    distance rows plus, when deflect_prob > 0, n^2 bytes of hop index (one
+    successor index per ordered pair, twice that from degree 256 on), and O(n)
+    Python objects.
 
     Raises ChainDiverges at deflect_prob 1 (no packet would arrive) and
     ValueError for deflect_prob outside [0, 1) or fewer than 2 packets.
@@ -172,7 +173,7 @@ def simulate_walk_hops(
     lanes = bytearray(n * width)
     all_lanes = (256 ** (width * n) - 1) // (256**width - 1)  # 1 in every lane
     hop_rows = []
-    for u, succ_u in enumerate(succ):
+    for u, succ_u in enumerate(succ if p else ()):
         target = int.from_bytes(rows[u].translate(decrement), "big")
         count = hop = 0
         for k, w in enumerate(succ_u):

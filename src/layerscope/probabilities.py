@@ -2,9 +2,9 @@
 
 Input probability: P_in(i) is the chance that a uniform ordered pair of
 distinct vertices is at distance i. Averaging the layer polynomial over the
-vertex classes gives a rational function of d valid for every d >= 2; class
-sizes are summed per suffix-period vector (it fixes the layer polynomial at
-every i), and a concrete degree sums only the classes realizable there.
+vertex classes gives a rational function of d valid for every d >= 2; classes
+are counted per suffix-period vector (it fixes the layer masks at every i) and
+s, and a concrete degree sums only the classes realizable there.
 
 Transition probability: a packet at v, destined to z at distance i, is
 deflected through a uniform choice among the d - 1 out-links other than the
@@ -17,29 +17,29 @@ summed over successors w of v, and P_t(i, j) weights the classes by their
 share of V. Per arc at most one j >= i contributes, so the row over
 j in [i, D] always sums to one.
 
-One per-class kernel gives the numerators of P_t(i, j | v) for every i and
-j >= i at once, from one suffix-period vector of v and one of each successor
-archetype w (w[i-1:] = v[i:] + w_D puts every j0 in the periods of w). The
-denominator depends on a class only through its layer polynomial at i, so one
-pass over the classes, cached per (family, D, d), groups the numerators by it
-and builds one fraction per distinct layer polynomial, not one per class. Symbolic
-tables sum under the d >= 3 intersection criteria and carry that validity
-tag; a concrete degree evaluates the same sums in exact fractions, with the
-d = 2 criteria (which differ for De Bruijn) exactly at d = 2.
+Per class and successor archetype w, each i reduces to integers: v's layer
+mask A_i and the forward rule (j0, m, t) of ``layers.forward_rule``. One pass
+over the classes, cached per (family, D, d), counts them per (i, j0, A_i, m, t,
+s) and makes one polynomial product per distinct (i, j0, A_i, m, t), then one
+fraction per distinct layer polynomial, not one per class. Every degree uses
+the d >= 3 criteria: where the d = 2 criteria differ (De Bruijn), the forward
+polynomial vanishes at d = 2. Symbolic tables carry the d >= 3 tag; a concrete
+degree evaluates the same sums in exact fractions.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
 from .graphs import Family, Vertex, vertex_count_poly
-from .layers import layer_poly_eval, layer_poly_periods, report_from_periods, suffix_periods
+from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction
-from .vertex_classes import VertexClass, classes_realizable, enumerate_classes
+from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
 
 # Degree regimes for transition probabilities. P_in needs no regime.
 SYMBOLIC_D_GE_3 = "d>=3"
@@ -63,22 +63,28 @@ def _concrete_degree(regime: Regime) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+def _sum_sizes(family: Family, counts: Counter) -> Dict[tuple, IntPolynomial]:
+    """{key: sum of count * class_cardinality_poly(s)} over counts keyed by (*key, s)."""
+    sizes: Dict[tuple, IntPolynomial] = {}
+    for (*key, s), count in counts.items():
+        key = tuple(key)
+        sizes[key] = sizes.get(key, IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
+    return sizes
+
+
 @functools.lru_cache(maxsize=None)
 def _layer_sums(
     family: Family, D: int, d: Optional[int] = None
 ) -> List[Dict[IntPolynomial, IntPolynomial]]:
-    """sums[i] = {layer polynomial at i: sum_c |c|}, with class sizes summed once per
-    suffix-period vector, which fixes the layer polynomial at every i. Over every
-    class when d is None; else over the classes realizable at d."""
+    """sums[i] = {layer polynomial at i: sum_c |c|}, with classes counted per
+    (suffix-period vector, s); the vector fixes the layer masks at every i. Over
+    every class when d is None; else over the classes realizable at d."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
-    by_periods: Dict[Tuple[int, ...], IntPolynomial] = {}
-    for c in classes:
-        pi = tuple(suffix_periods(c.pattern))
-        by_periods[pi] = by_periods.get(pi, IntPolynomial.zero()) + c.cardinality
+    counts = Counter((*suffix_periods(c.pattern), c.s) for c in classes)
     sums: List[Dict[IntPolynomial, IntPolynomial]] = [{} for _ in range(D + 1)]
-    for pi, size in by_periods.items():
-        for i, by_layer in enumerate(sums):
-            layer = layer_poly_periods(family, D, pi, i).to_poly()
+    for pi, size in _sum_sizes(family, counts).items():
+        for i, (a, by_layer) in enumerate(zip(layer_masks(family, D, pi), sums)):
+            layer = LayerPolynomial.from_mask(i, a).to_poly()
             by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + size
     return sums
 
@@ -128,65 +134,47 @@ def mean_distance(family: Family, D: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _successor_archetypes(
-    family: Family, pattern: Vertex, d: Optional[int] = None
-) -> List[Tuple[Vertex, IntPolynomial]]:
-    """Successor words of a class representative, with symbolic multiplicities.
+def _class_terms(
+    family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]
+) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """(i, j0, A_i, m, t, s_eff) for each i in levels and successor archetype w = v[1:] + x.
 
-    Appending any symbol already in the pattern gives one concrete successor;
-    all remaining alphabet symbols behave identically, so they are represented
-    by a single word using one fresh symbol with multiplicity d - s (De
-    Bruijn) or d + 1 - s (Kautz). Multiplicities sum to d. At a concrete
-    degree d the fresh word is dropped where its multiplicity is 0.
+    A symbol x already in v gives one successor, weight 1, s_eff = s. One fresh
+    symbol stands for the d - s (De Bruijn) or d + 1 - s (Kautz) others, and that
+    weight times |c| is the class size at s_eff = s + 1; at a concrete d it is
+    dropped where the weight is 0.
     """
     s = max(pattern) + 1
-    shifted = pattern[1:]
-    out: List[Tuple[Vertex, IntPolynomial]] = []
-    for x in range(s):
+    pi_v = suffix_periods(pattern)
+    masks = layer_masks(family, D, pi_v)
+    alphabet = s + 1 if d is None else (d if family is Family.DEBRUIJN else d + 1)
+    for x in range(min(s + 1, alphabet)):
         if family is Family.KAUTZ and x == pattern[-1]:
             continue
-        out.append((shifted + (x,), IntPolynomial.one()))
-    fresh_weight = -s if family is Family.DEBRUIJN else 1 - s
-    if d is None or d + fresh_weight:
-        out.append((shifted + (s,), IntPolynomial((fresh_weight, 1))))
-    return out
-
-
-def _class_transition_rows(
-    family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]
-) -> Dict[int, Dict[int, IntPolynomial]]:
-    """rows[i] = {j: sum_w multiplicity(w) * |S_i*(v) cap S_j*(w)|} over j >= i
-    for every i in levels, from one suffix-period vector of v and one of each
-    successor archetype w. Symbolic (d >= 3 criteria) when d is None; else
-    exact at d only, under the d = 2 criteria exactly when d == 2."""
-    pi_v = suffix_periods(pattern)
-    rows: Dict[int, Dict[int, IntPolynomial]] = {i: {} for i in levels}
-    for w, weight in _successor_archetypes(family, pattern, d):
-        pi_w = suffix_periods(w)
-        for i, row in rows.items():
-            report = report_from_periods(family, D, pattern, w, i, d == 2, pi_v, pi_w)
-            j = report.forward_j
-            if j is not None:
-                row[j] = row.get(j, IntPolynomial.zero()) + weight * report.forward.to_poly()
-    return rows
+        pi_w = suffix_periods(pattern[1:] + (x,))
+        same = sum(1 << p for p, y in enumerate(pattern) if y == x)
+        for i in levels:
+            j0, m, t = forward_rule(family, D, i, masks[i], same, pi_v, pi_w)
+            yield i, j0, masks[i], m, t, s + (x == s)
 
 
 @functools.lru_cache(maxsize=None)
 def _transition_sums(
     family: Family, D: int, d: Optional[int] = None
 ) -> List[Dict[int, Dict[IntPolynomial, IntPolynomial]]]:
-    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}, every i in one
-    pass over the classes, each layer read off the class's suffix periods: over
-    every class when d is None; else over the classes realizable at d, kernel at d."""
+    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}: one pass counts
+    the class terms per (i, j0, A_i, m, t, s_eff), then one product per (i, j0, A_i,
+    m, t) of the forward polynomial with the summed class sizes. Over every class
+    when d is None; else over the classes realizable at d."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+    levels = range(1, D + 1)
+    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
     sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
-    for c in classes:
-        pi = suffix_periods(c.pattern)
-        for i, row in _class_transition_rows(family, D, c.pattern, d, range(1, D + 1)).items():
-            layer = layer_poly_periods(family, D, pi, i).to_poly()
-            for j, num in row.items():
-                by_layer = sums[i].setdefault(j, {})
-                by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + c.cardinality * num
+    for (i, j, a, m, t), size in _sum_sizes(family, counts).items():
+        layer = LayerPolynomial.from_mask(i, a).to_poly()
+        num = size * LayerPolynomial.from_mask(i, m, t).to_poly()
+        by_layer = sums[i].setdefault(j, {})
+        by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + num
     return sums
 
 
@@ -208,9 +196,12 @@ def p_t_conditional(
     d = _concrete_degree(regime)
     if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
-    num = _class_transition_rows(family, D, c.pattern, d, (i,))[i].get(j, IntPolynomial.zero())
+    num = IntPolynomial.zero()  # |c| * sum_w weight(w) |S_i*(v) cap S_j*(w)|
+    for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, d, (i,)):
+        if j0 == j:
+            num = num + class_cardinality_poly(family, s) * LayerPolynomial.from_mask(i, m, t).to_poly()
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-    den = IntPolynomial((-1, 1)) * layer  # (d - 1) |S_i*(v)|
+    den = IntPolynomial((-1, 1)) * c.cardinality * layer  # (d - 1) |c| |S_i*(v)|
     if d is None:
         return RationalFunction(num, den)
     return RationalFunction.from_fraction(Fraction(num.evaluate(d), den.evaluate(d)))
@@ -236,9 +227,8 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
 def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     """Exact P_t(i, j) at a concrete degree d >= 2.
 
-    Evaluates the per-layer sums of the row kernel at d, over the classes
-    realizable there, under the d = 2 intersection criteria exactly when
-    d == 2 (they differ for De Bruijn).
+    Evaluates the per-layer sums of the class kernel at d, over the classes
+    realizable there; at d = 2 the d >= 3 criteria give the same values.
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
@@ -256,7 +246,7 @@ def p_t(
     """P_t(i, j), class-weighted, in the requested regime.
 
     The symbolic form carries d >= 3 validity; see p_t_value for concrete
-    degrees (d = 2 uses the d = 2 criteria).
+    degrees.
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")

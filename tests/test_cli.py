@@ -246,6 +246,14 @@ def test_markov_rejects_unparsable_p(capsys):
         assert "error:" in err and "-p" in err
 
 
+def test_markov_rejects_negative_p_in_either_spelling(capsys):
+    for p in (("-p", "-1/2"), ("-p=-1/2",)):
+        rc, out, err = run_cli(capsys, "markov", "-f", "K", "-d", "3", "-D", "4", *p)
+        assert rc == 1, p
+        assert out == ""
+        assert "deflection probability must lie in [0, 1], got -1/2" in err, p
+
+
 def test_markov_rejects_single_packet(capsys):
     rc, _, err = run_cli(
         capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10", "--monte-carlo", "1"

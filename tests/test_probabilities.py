@@ -35,6 +35,7 @@ from layerscope.probabilities import (
     p_t_value,
     transition_table,
 )
+from layerscope.probabilities import _transition_sums
 from layerscope.vertex_classes import canonical_pattern, classes_realizable, enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
@@ -160,13 +161,13 @@ def test_p_t_conditional_builds_one_report_per_successor_archetype(
     import layerscope.probabilities as probabilities
 
     calls = []
-    real = probabilities.report_from_periods
+    real = probabilities.forward_rule
 
     def counting(*args):
-        calls.append(args[4])
+        calls.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(probabilities, "report_from_periods", counting)
+    monkeypatch.setattr(probabilities, "forward_rule", counting)
     c = _class(family, len(pattern), pattern)
     p_t_conditional(family, len(pattern), c, 2, 4, regime=regime)
     assert calls == [2] * archetypes  # the kernel fills row i = 2 only
@@ -269,6 +270,40 @@ def test_p_t_concrete_kernel_matches_symbolic(family, d):
                     symbolic = p_t_conditional(family, D, c, i, j).evaluate(d)
                     got = p_t_conditional(family, D, c, i, j, regime=d)
                     assert got == RationalFunction.from_fraction(symbolic), (D, c.pattern, i, j)
+
+
+def _reference_transition_sums(family, D, d):
+    """_transition_sums the long way: one intersection_report_eval per (class,
+    successor archetype, i), under the d >= 3 criteria at every d, each forward
+    polynomial times |c| and the archetype's weight, summed per layer polynomial."""
+    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+    sums = [{} for _ in range(D + 1)]
+    for c in classes:
+        v, s = c.pattern, c.s
+        archetypes = [(v[1:] + (x,), IntPolynomial.one()) for x in range(s) if family is B or x != v[-1]]
+        fresh = IntPolynomial((-s if family is B else 1 - s, 1))  # d - s or d + 1 - s fresh symbols
+        if d is None or fresh.evaluate(d):
+            archetypes.append((v[1:] + (s,), fresh))
+        for i in range(1, D + 1):
+            layer = layer_poly_eval(family, D, v, i).to_poly()
+            for w, weight in archetypes:
+                report = intersection_report_eval(family, D, v, w, i, d2_rules=False)
+                by_layer = sums[i].setdefault(report.forward_j, {})
+                num = c.cardinality * weight * report.forward.to_poly()
+                by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + num
+    return sums
+
+
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [None, 2, 3])
+def test_transition_sums_match_per_report_reference(family, d):
+    # the kernel counts classes per (i, j0, layer mask, m, t, s) and makes one
+    # product per key; the reference builds every report and polynomial. At d = 2
+    # both use the d >= 3 criteria; test_p_t_value_matches_per_arc_report_fractions
+    # checks the values against the d = 2 criteria, test_p_t_value_matches_oracle
+    # against BFS.
+    for D in range(1, 8):
+        assert _transition_sums(family, D, d) == _reference_transition_sums(family, D, d), D
 
 
 @pytest.mark.parametrize("family", [B, K])

@@ -117,6 +117,19 @@ def test_walk_without_table_memory_below_four_bytes_per_pair():
     assert peak < 4 * n * n, peak
 
 
+def test_walk_at_p_zero_builds_no_hop_index():
+    # at p = 0 a packet's hops are its distance row entry: the n^2 rows, no hop index
+    g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
+    n = len(g.vertices)
+    tracemalloc.start()
+    try:
+        simulate_walk_hops(g, 0.0, 20_000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n, peak
+
+
 def test_walk_refuses_over_the_apsp_cap_before_building_rows():
     # an empty vertex list: the cap must be read off the parameters alone
     g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices=(), succ=(), index={})
