@@ -34,7 +34,7 @@ from .probabilities import (
 from .vertex_classes import canonical_pattern
 
 # markov --monte-carlo refuses walks longer than this in expected total hops
-# (20-30 s at 0.2-0.26 microseconds per hop, K(4,5) to B(4,6), p from 1/10 to 9/10)
+# (15-35 s at 0.14-0.33 microseconds per hop, K(4,5) to B(4,6), p from 1/10 to 9/10)
 WALK_HOP_BUDGET = 10**8
 
 

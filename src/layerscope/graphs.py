@@ -161,6 +161,21 @@ def distance_row(params: GraphParams, v: Vertex) -> bytearray:
     return row
 
 
+def landing_row(params: GraphParams, z: Vertex) -> bytes:
+    """Entry (r-1)*(d-1) + k: the distance to z after a packet at distance r >= 1 takes the k-th of
+    its d - 1 out-links off the shortest path (`successors` order). Its word ends with z[:m], m = D - r,
+    so appending x lands at D - step[m][x], the longest prefix of z ending z[:m] + (x,): z's
+    Knuth-Morris-Pratt automaton. K skips x = z[m-1] too; at m = 0 that is unknown, but all land at D."""
+    d, D, kautz = params.d, params.D, params.family is Family.KAUTZ
+    step, border, blocks = [], 0, []
+    for m, s in enumerate(z):
+        step.append(step[border][:] if m else [0] * params.alphabet_size)
+        xs = [x for x in range(params.alphabet_size) if x != s and not (kautz and m and x == z[m - 1])]
+        blocks.append(bytes(D - step[m][x] for x in xs[: d - 1]))
+        step[m][s], border = m + 1, step[border][s] if m else 0
+    return b"".join(reversed(blocks))  # r = 1 .. D
+
+
 def shortest_path(params: GraphParams, v: Vertex, z: Vertex) -> List[Vertex]:
     """The unique shortest path v, u_1, ..., u_{k-1}, z between distinct vertices.
 

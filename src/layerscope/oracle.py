@@ -4,13 +4,12 @@ The verify oracle consults no closed form: distances come from breadth-first
 search on the materialized digraph, class sizes from grouping actual vertices,
 and probabilities from counting ordered pairs. The formula side of the package
 is validated against these numbers with exact rational equality (verify_grid).
-The packet walk routes on the closed-form rows of `graphs.distance_row`, which
-verify_graph checks against BFS.
+The packet walk starts from `graphs.distance_row` (checked against BFS by
+verify_graph) and follows a packet's distance alone, on `graphs.landing_row`.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,19 +137,18 @@ def simulate_walk_hops(
     uniform out-link other than the unique shortest-path successor, else it
     follows the shortest path. Deterministic for a fixed seed.
 
-    The hop index is derived from table's rows when one is given, else from the
-    closed-form rows of `graphs.distance_row`: no BFS. Costs n^2 bytes of
-    distance rows plus, when deflect_prob > 0, n^2 bytes of hop index (one
-    successor index per ordered pair, twice that from degree 256 on), and O(n)
-    Python objects.
+    A packet is followed by its distance r to z alone: a straight hop lowers r
+    by one, a deflection reads r off z's `graphs.landing_row`. The initial r is
+    read off table's rows if given, else `graphs.distance_row` (no BFS): n^2
+    bytes. At deflect_prob > 0 the rows must give each z exactly one shortest-path
+    successor (else AssertionError), and the landing rows add n D (d - 1) bytes.
 
     Raises ChainDiverges at deflect_prob 1 (no packet would arrive) and
     ValueError for deflect_prob outside [0, 1) or fewer than 2 packets.
     """
     import random
-    from array import array
 
-    from .graphs import distance_row
+    from .graphs import distance_row, landing_row
 
     if deflect_prob == 1:
         raise ChainDiverges("deflection probability 1: no packet reaches its destination")
@@ -159,38 +157,27 @@ def simulate_walk_hops(
     g.params.check_apsp_cap()
     rng = random.Random(seed)
     rows = [distance_row(g.params, v) for v in g.vertices] if table is None else table.rows
-    succ = g.succ
     n = len(g.vertices)
     p = float(deflect_prob)
 
-    # hop_rows[u][z] is the index in succ[u] of the shortest-path successor
-    # toward z. Per successor, a mask marks the z where its distance is u's
-    # minus one (u's own 0 becomes 255, which no distance equals); the masks
-    # add up weighted by index, in lanes that can hold d, so counts never carry.
-    decrement, is_zero = bytes([255]) + bytes(range(255)), bytes([1]) + bytes(255)
-    code = next(c for c in "BHILQ" if g.params.d < 256 ** array(c).itemsize)
-    width = array(code).itemsize
-    lanes = bytearray(n * width)
-    all_lanes = (256 ** (width * n) - 1) // (256**width - 1)  # 1 in every lane
-    hop_rows = []
-    for u, succ_u in enumerate(succ if p else ()):
-        target = int.from_bytes(rows[u].translate(decrement), "big")
-        count = hop = 0
-        for k, w in enumerate(succ_u):
-            diff = target ^ int.from_bytes(rows[w], "big")
-            lanes[width - 1 :: width] = diff.to_bytes(n, "big").translate(is_zero)
-            mask = int.from_bytes(lanes, "big")
-            count += mask
-            hop += k * mask
-        if count != all_lanes ^ (1 << 8 * width * (n - 1 - u)):
+    # Each z but u needs exactly one successor w one hop closer: a zero byte of
+    # (row w + 1) xor row u. Bytes stay below 128 (distances <= D <= 14), so + 127 sets
+    # bit 7 of the nonzero ones; the masks of the zero ones must be disjoint and miss only u.
+    ones = (256**n - 1) // 255
+    low, high = ones * 127, ones << 7
+    for u, succ_u in enumerate(g.succ if p else ()):
+        row_u, seen, twice = int.from_bytes(rows[u], "big"), 0, 0
+        for w in succ_u:
+            x = (int.from_bytes(rows[w], "big") + ones) ^ row_u
+            mask = (x + low) & high ^ high
+            twice |= seen & mask
+            seen |= mask
+        if twice or seen != (ones ^ 1 << 8 * (n - 1 - u)) << 7:
             raise AssertionError(f"vertex {u}: not one shortest-path successor per destination")
-        hop_rows.append(array(code, hop.to_bytes(n * width, "big")))
-        if sys.byteorder == "little":
-            hop_rows[-1].byteswap()
+    land = [landing_row(g.params, z) for z in g.vertices] if p else ()
     # Random.randrange(m) and Random.choice(range(m)) both draw getrandbits
     # of m's bit length until the value is below m; the walk makes the same
-    # draws in the same order. A deflection takes the k-th of the d - 1
-    # out-links other than h, as a choice among those links would.
+    # draws in the same order, k for the k-th of the d - 1 deflection links.
     getrandbits, rand = rng.getrandbits, rng.random
     m, others = n - 1, g.params.d - 1
     n_bits, m_bits, k_bits = n.bit_length(), m.bit_length(), others.bit_length()
@@ -206,20 +193,18 @@ def simulate_walk_hops(
             z = getrandbits(m_bits)
         if z >= u:
             z += 1
-        if not p:  # no draw per hop: the packet follows the shortest path
-            hops = rows[u][z]
-        else:
-            hops = 0
-            while u != z:
-                h = hop_rows[u][z]
+        hops = r = rows[u][z]  # a straight hop per unit of distance, plus what deflections add
+        if p:  # else no draw per hop: the packet follows the shortest path
+            row = land[z]
+            while r:
                 if rand() < p:
                     k = getrandbits(k_bits)
                     while k >= others:
                         k = getrandbits(k_bits)
-                    u = succ[u][k + (k >= h)]
+                    j = row[(r - 1) * others + k]
+                    hops, r = hops + j - r + 1, j  # the deflected hop, then j - (r - 1) more
                 else:
-                    u = succ[u][h]
-                hops += 1
+                    r -= 1
         total += hops
         total_sq += hops * hops
     mean = total / packets

@@ -28,6 +28,9 @@ GOLDEN = {
     "verify -f K -d 3 -D 3": "024c91aa237fbba11f433e2a81df98343a23ac136d2993fc20f212f7b47150d3",
     "markov -f K -d 4 -D 5 -p 1/10 --monte-carlo 20000 --seed 5 --format json": "e9912f1a386e87cc460dce2cc16d4098d1a7129ebdd766ba5f6d1a67a3c6bc10",
     "markov -f K -d 3 -D 4 -p 0 --monte-carlo 5000 --seed 3": "3fe5ee4051b9f3d170be90b67a73897a6b6d23f4cf67d5bbbe06e803061f822f",
+    # deflections among several links, and a degree above 256
+    "markov -f K -d 3 -D 4 -p 1/2 --monte-carlo 2000 --seed 9 --format json": "b249b41ddaea22418d7a934133366de3e2c5dcaa87dc47fc111f75c02e1c0a30",
+    "markov -f B -d 300 -D 1 -p 1/10 --monte-carlo 3000 --seed 7": "c21b41b9fc284ac21fc997f96e18ee534579fd205ad06258e42a115e2a16089e",
 }
 
 

@@ -21,6 +21,7 @@ from layerscope.graphs import (
     distance,
     distance_row,
     format_vertex,
+    landing_row,
     parse_vertex,
     shortest_path,
     successors,
@@ -140,6 +141,28 @@ def _pairs(draw):
 def test_distance_row_matches_distance_on_random_pairs(pair):
     params, v, z = pair
     assert distance_row(params, v)[_lex_id(params, z)] == distance(params, v, z)
+
+
+# every (family, d, D) with at most 150 vertices and d <= 16: d = 2 (one link to
+# deflect onto), D = 1, and Kautz, where a deflection also skips the last symbol
+@pytest.mark.parametrize(
+    "family,d,D",
+    [(f, d, D) for f in (B, K) for d in range(2, 17) for D in range(1, 8) if GraphParams(f, d, D).vertex_count <= 150],
+)
+def test_landing_row_is_the_distance_after_each_deflection(family, d, D):
+    params = GraphParams(family, d, D)
+    g = build_explicit(params)
+    for z in g.vertices:
+        land = landing_row(params, z)
+        assert len(land) == D * (d - 1)
+        for v in g.vertices:
+            r = distance(params, v, z)
+            if not r:
+                continue
+            landings = [distance(params, w, z) for w in successors(params, v)]
+            assert landings.count(r - 1) == 1  # the shortest-path successor, not deflected onto
+            landings.remove(r - 1)
+            assert land[(r - 1) * (d - 1) : r * (d - 1)] == bytes(landings)
 
 
 @pytest.mark.parametrize("family,d,D", [(B, 2, 4), (K, 2, 4), (K, 3, 3)])

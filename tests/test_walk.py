@@ -1,4 +1,4 @@
-"""The seeded packet walk: pinned statistics, the hop-index check and its memory."""
+"""The seeded packet walk: pinned statistics, the one-successor check and its memory."""
 
 import functools
 import random
@@ -78,6 +78,39 @@ def test_walk_rejects_two_shortest_path_successors():
         simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
 
 
+def test_walk_rejects_two_shortest_path_successors_in_wide_lanes():
+    # degree above 256: more successors than a one-byte count could hold
+    g = build_explicit(GraphParams(Family.DEBRUIJN, 300, 1))
+    table = DistanceTable(g)
+    u, z = 0, 1
+    assert table.rows[u][z] == 1
+    w = next(w for w in g.succ[u] if table.rows[w][z] == 1)
+    table.rows[w][z] = 0
+    with pytest.raises(AssertionError):
+        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+
+
+def test_walk_rejects_two_closer_successors_in_a_bfs_table():
+    # a strongly connected stand-in with B(2,2)'s size: vertex 0 reaches 3 through
+    # both of its successors, 1 and 2, and every other (u, z) has one closer successor
+    params = GraphParams(Family.DEBRUIJN, 2, 2)
+    vertices = ((0, 0), (0, 1), (1, 0), (1, 1))
+    g = ExplicitDigraph(params, vertices, succ=((1, 2), (3, 0), (3, 0), (0, 1)), index={})
+    table = DistanceTable(g)
+    assert (table.rows[0][3], table.rows[1][3], table.rows[2][3]) == (2, 1, 1)
+    with pytest.raises(AssertionError, match="vertex 0"):
+        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+
+
+def test_walk_rejects_a_destination_with_no_closer_successor():
+    # raising one entry removes closer successors and adds none
+    g = build_explicit(GraphParams(Family.DEBRUIJN, 2, 2))
+    table = DistanceTable(g)
+    table.rows[0][3] += 5
+    with pytest.raises(AssertionError, match="vertex 0"):
+        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+
+
 def test_walk_memory_below_four_bytes_per_pair():
     g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
     n = len(g.vertices)
@@ -115,6 +148,19 @@ def test_walk_without_table_memory_below_four_bytes_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * n, peak
+
+
+def test_walk_without_table_memory_below_two_bytes_per_pair():
+    # the n^2 distance rows and n D (d - 1) landing bytes: no n^2 hop index
+    g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
+    n = len(g.vertices)
+    tracemalloc.start()
+    try:
+        simulate_walk_hops(g, 0.1, 20_000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n, peak
 
 
 def test_walk_at_p_zero_builds_no_hop_index():
