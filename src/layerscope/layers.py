@@ -15,17 +15,20 @@ and otherwise the two are disjoint. The two key facts:
     forward index with S_i*(v) cap S_j0*(w) nonempty: S_i(v) lies in S_j(w),
     i <= j < D, exactly when that word has period j + 1 - i.
 
-The predicates that distinguish nonempty intersections genuinely differ
-between d >= 3 and d = 2 (De Bruijn only). Public entry points dispatch on the
-concrete d in ``params``; the ``*_eval`` helpers take an explicit
-``d2_rules`` flag so symbolic callers can pick the regime.
+Every cardinality is d^i - sum a_k d^k with small a_k, held as a bit mask by
+``LayerPolynomial``. ``layer_poly_eval`` and ``intersection_report_eval`` do
+the work on (family, D); their ``d2_rules`` picks the d = 2 criteria (De Bruijn
+only) over the d >= 3 ones. ``layer_star_poly`` and ``intersection_report``
+take (params, ...), read the regime off params.d and check adjacency. Both
+spellings stay: ``bench/spans.py`` times each, and the acceptance tests import
+the params ones. Every other predicate here reads one of the four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotASuccessor
 from .graphs import Family, GraphParams, Vertex, is_successor, successors
@@ -90,7 +93,7 @@ def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool
     """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
     disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
     _check_range(D, k, i)
-    return k == i or layer_coefficients(family, D, v, i)[k] == 1
+    return k == i or bool(layer_masks(family, D, suffix_periods(v))[i] >> k & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,45 +103,30 @@ def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool
 
 @dataclass(frozen=True)
 class LayerPolynomial:
-    """The expression d^top - sum_k sub[k] * d^k with small nonnegative sub-coefficients.
+    """d^top - sum of d^k over the set bits k of mask - lead * d^(top-1).
 
-    sub holds only nonzero entries; each is 1 except that the k = top - 1
-    coefficient can be 2 in the forward intersection polynomial.
+    ``from_mask`` drops the bits k >= top and folds bit top - 1 into lead (0, 1,
+    or 2 in a forward intersection), so equal polynomials give equal objects.
     """
 
     top: int
-    sub: tuple  # sorted tuple of (power, coeff)
-
-    @classmethod
-    def build(cls, top: int, sub: Dict[int, int]) -> "LayerPolynomial":
-        items = tuple(sorted((k, c) for k, c in sub.items() if c != 0))
-        for k, c in items:
-            if not 0 <= k < top:
-                raise ValueError(f"sub-coefficient power {k} outside [0, {top})")
-            allowed = (1, 2) if k == top - 1 else (1,)
-            if c not in allowed:
-                raise ValueError(f"sub-coefficient {c} at power {k} outside {allowed}")
-        return cls(top=top, sub=items)
+    mask: int
+    lead: int
 
     @classmethod
     def from_mask(cls, top: int, mask: int, lead: int = 0) -> "LayerPolynomial":
-        """d^top - sum d^k over the set bits k of mask - lead * d^(top-1)."""
-        sub = {k: 1 for k in range(top) if mask >> k & 1}
-        sub[top - 1] = sub.get(top - 1, 0) + lead
-        return cls.build(top, sub)
+        if not top:
+            return cls(0, 0, 0)
+        return cls(top, mask & ((1 << (top - 1)) - 1), lead + (mask >> (top - 1) & 1))
 
     def coefficient(self, k: int) -> int:
-        for power, c in self.sub:
-            if power == k:
-                return c
-        return 0
+        """The (nonnegative) sub-coefficient of d^k."""
+        if k == self.top - 1:
+            return self.lead
+        return self.mask >> k & 1 if k >= 0 else 0
 
     def to_poly(self) -> IntPolynomial:
-        coeffs = [0] * (self.top + 1)
-        coeffs[self.top] = 1
-        for k, c in self.sub:
-            coeffs[k] -= c
-        return IntPolynomial(coeffs)
+        return IntPolynomial([-self.coefficient(k) for k in range(self.top)] + [1])
 
     def evaluate(self, d: int) -> int:
         return self.to_poly().evaluate(d)
@@ -160,29 +148,15 @@ def layer_masks(family: Family, D: int, pi: Sequence[int]) -> List[int]:
     return masks
 
 
-def layer_bits(family: Family, D: int, pi: Sequence[int], i: int) -> List[int]:
-    """The bits a_0 .. a_{i-1} of layer_masks(family, D, pi)[i]."""
-    if not 0 <= i <= D:
-        raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
-    a = layer_masks(family, D, pi)[i]
-    return [a >> k & 1 for k in range(i)]
-
-
-def layer_coefficients(family: Family, D: int, v: Vertex, i: int) -> List[int]:
-    return layer_bits(family, D, suffix_periods(v), i)
-
-
 def layer_star_poly(params: GraphParams, v: Vertex, i: int) -> LayerPolynomial:
     """|S_i*(v)| as a polynomial in d; i = 0 gives the constant 1."""
     return layer_poly_eval(params.family, params.D, v, i)
 
 
 def layer_poly_eval(family: Family, D: int, v: Vertex, i: int) -> LayerPolynomial:
-    return layer_poly_periods(family, D, suffix_periods(v), i)
-
-
-def layer_poly_periods(family: Family, D: int, pi: Sequence[int], i: int) -> LayerPolynomial:
-    return LayerPolynomial.build(i, {k: 1 for k, a in enumerate(layer_bits(family, D, pi, i)) if a})
+    if not 0 <= i <= D:
+        raise IndexOutOfRange(f"layer index {i} outside [0, {D}]")
+    return LayerPolynomial.from_mask(i, layer_masks(family, D, suffix_periods(v))[i])
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +182,9 @@ def gamma_plus(params: GraphParams, v: Vertex, i: int, j: int) -> List[Vertex]:
 
 def gamma_star(params: GraphParams, v: Vertex, i: int, j: int) -> List[Vertex]:
     """Successors w of v with S_i*(v) cap S_j*(w) nonempty (the deflection targets)."""
-    d2 = params.d == 2
-    return [
-        w
-        for w in gamma_plus(params, v, i, j)
-        if intersection_nonempty_eval(params.family, params.D, v, w, i, j, d2_rules=d2)
-    ]
+    if not 1 <= i <= j <= params.D:
+        raise IndexOutOfRange(f"need 1 <= i <= j <= D, got i={i}, j={j}")
+    return [w for w in gamma_plus(params, v, i, j) if intersection_nonempty(params, v, w, i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,46 +203,17 @@ def back_intersection_empty(family: Family, v: Vertex, w: Vertex, i: int) -> boo
     return family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] == w[-1]
 
 
-def _require_successor(params: GraphParams, v: Vertex, w: Vertex) -> None:
-    if not is_successor(params, v, w):
-        raise NotASuccessor(f"{w} is not adjacent from {v}")
-
-
-def intersection_nonempty_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, j: int, d2_rules: bool
-) -> bool:
-    """S_i*(v) cap S_j*(w) != empty for w adjacent from v and i - 1 <= j <= D.
-
-    d2_rules selects the d = 2 criteria (extra De Bruijn emptiness cases);
-    with d2_rules False the d >= 3 criteria apply.
-    """
-    if not 1 <= i <= D:
-        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
-    if not i - 1 <= j <= D:
-        raise IndexOutOfRange(f"need i-1 <= j <= D, got j={j}")
-    if j == i - 1:
-        return not back_intersection_empty(family, v, w, i)
-    return j == unique_j0_eval(family, D, v, w, i, d2_rules)
-
-
 def intersection_nonempty(params: GraphParams, v: Vertex, w: Vertex, i: int, j: int) -> bool:
-    """Concrete-degree entry point; uses d = 2 criteria exactly when params.d == 2."""
-    _require_successor(params, v, w)
-    return intersection_nonempty_eval(
-        params.family, params.D, v, w, i, j, d2_rules=params.d == 2
-    )
-
-
-def unique_j0_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
-) -> Optional[int]:
-    """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None."""
-    return intersection_report_eval(family, D, v, w, i, d2_rules).forward_j
+    """S_i*(v) cap S_j*(w) != empty for w adjacent from v and i - 1 <= j <= D."""
+    report = intersection_report(params, v, w, i)
+    if not i - 1 <= j <= params.D:
+        raise IndexOutOfRange(f"need i-1 <= j <= D, got j={j}")
+    return report.back is not None if j == i - 1 else j == report.forward_j
 
 
 def unique_j0(params: GraphParams, v: Vertex, w: Vertex, i: int) -> Optional[int]:
-    _require_successor(params, v, w)
-    return unique_j0_eval(params.family, params.D, v, w, i, d2_rules=params.d == 2)
+    """The unique j0 in [i, D] with S_i*(v) cap S_j0*(w) nonempty, or None."""
+    return intersection_report(params, v, w, i).forward_j
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +253,6 @@ class IntersectionReport:
         }
 
 
-def intersection_report_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
-) -> IntersectionReport:
-    return report_from_periods(family, D, v, w, i, d2_rules, suffix_periods(v), suffix_periods(w))
-
-
 def forward_rule(
     family: Family, D: int, i: int, a: int, same: int, pi_v: Sequence[int], pi_w: Sequence[int]
 ) -> Tuple[int, int, int]:
@@ -331,16 +267,17 @@ def forward_rule(
     return i - 1 + pi_w[i - 1], low & ~(same >> (D - i)), top + 1
 
 
-def report_from_periods(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool,
-    pi_v: Sequence[int], pi_w: Sequence[int],
+def intersection_report_eval(
+    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
 ) -> IntersectionReport:
-    """The report for w adjacent from v, from the suffix periods of both words."""
+    """The report for w adjacent from v; d2_rules selects the d = 2 criteria (extra
+    De Bruijn emptiness cases), False the d >= 3 criteria."""
     if not 1 <= i <= D:
         raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
+    pi_v = suffix_periods(v)
     a = layer_masks(family, D, pi_v)[i]
     same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
-    j0, m, t = forward_rule(family, D, i, a, same, pi_v, pi_w)
+    j0, m, t = forward_rule(family, D, i, a, same, pi_v, suffix_periods(w))
     forward = LayerPolynomial.from_mask(i, m, t)
     if back_intersection_empty(family, v, w, i):
         assert j0 == i, "empty back intersection forces a forward intersection at j = i"
@@ -356,7 +293,8 @@ def report_from_periods(
 
 def intersection_report(params: GraphParams, v: Vertex, w: Vertex, i: int) -> IntersectionReport:
     """Classify and return the intersection cardinality polynomials for one arc."""
-    _require_successor(params, v, w)
+    if not is_successor(params, v, w):
+        raise NotASuccessor(f"{w} is not adjacent from {v}")
     return intersection_report_eval(params.family, params.D, v, w, i, d2_rules=params.d == 2)
 
 

@@ -1,14 +1,16 @@
 """Layer polynomials, sublayer predicates, Gamma sets, intersection reports."""
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscope.errors import IndexOutOfRange, NotASuccessor
-from layerscope.graphs import Family, GraphParams, build_explicit, successors
+from layerscope.graphs import Family, GraphParams, bfs_distances, build_explicit, successors
 from layerscope.layers import (
     IntersectionCase,
     LayerPolynomial,
@@ -18,19 +20,19 @@ from layerscope.layers import (
     gamma_plus,
     gamma_star,
     intersection_nonempty,
-    intersection_nonempty_eval,
     intersection_poly_at,
     intersection_report,
-    layer_coefficients,
+    intersection_report_eval,
+    layer_poly_eval,
     layer_star_poly,
     sublayer_nonempty,
     suffix_periods,
     unique_j0,
-    unique_j0_eval,
     walk_set_contains,
     walk_sets_meet,
 )
 from layerscope.oracle import DistanceTable
+from layerscope.polynomials import IntPolynomial
 from layerscope.vertex_classes import enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
@@ -124,17 +126,14 @@ def test_layer_poly_total_is_vertex_count():
 
 
 def test_layer_polynomial_value_object():
-    poly = LayerPolynomial.build(4, {2: 1, 0: 1})
+    poly = LayerPolynomial.from_mask(4, 0b0101)
     assert str(poly) == "d^4 - d^2 - 1"
     assert poly.evaluate(2) == 16 - 4 - 1
     assert poly.coefficient(2) == 1 and poly.coefficient(3) == 0
-    with pytest.raises(ValueError):
-        LayerPolynomial.build(3, {3: 1})
-    with pytest.raises(ValueError):
-        LayerPolynomial.build(3, {1: 3})
-    with pytest.raises(ValueError):
-        LayerPolynomial.build(3, {0: 2})  # a 2 is legal only at the leading sub-position
-    assert LayerPolynomial.build(3, {2: 2}).evaluate(2) == 0
+    assert LayerPolynomial.from_mask(3, 0b1101) == LayerPolynomial.from_mask(3, 0b101)  # bits >= top drop
+    assert LayerPolynomial.from_mask(3, 0b100) == LayerPolynomial.from_mask(3, 0, 1)
+    assert LayerPolynomial.from_mask(3, 0, 2).evaluate(2) == 0
+    assert str(LayerPolynomial.from_mask(0, 0b1)) == "1"
 
 
 def test_gamma_plus_unique_vertex_cases():
@@ -171,6 +170,15 @@ def test_gamma_star_filters_nonempty_star_intersections():
     v = (0, 1, 2) * 4
     assert gamma_plus(k3_12, v, 1, 6) == [(1, 2, 0) * 4]
     assert gamma_star(k3_12, v, 1, 6) == []
+
+
+def test_gamma_star_rejects_indices_outside_range():
+    # on B(2,3), Gamma+(010) is empty for (i, j) = (0, 0) but not for (0, 1):
+    # both must raise, whatever the successors
+    b23 = GraphParams(B, 2, 3)
+    for i, j in [(0, 0), (0, 1), (2, 1), (1, 4)]:
+        with pytest.raises(IndexOutOfRange):
+            gamma_star(b23, (0, 1, 0), i, j)
 
 
 def test_intersection_nonempty_d2_counterexamples():
@@ -268,16 +276,16 @@ def test_coefficient_ranges_and_leading_rule():
         for v in g.vertices:
             for i in range(1, D + 1):
                 layer = layer_star_poly(params, v, i)
-                assert all(c == 1 for _, c in layer.sub)
+                assert all(layer.coefficient(k) in (0, 1) for k in range(i))
                 if layer.coefficient(i - 1) == 1:
                     assert family is B and len(set(v[i - 1 :])) == 1
                 for w in successors(params, v):
                     rep = intersection_report(params, v, w, i)
                     if rep.forward is not None:
                         assert rep.forward.coefficient(i - 1) in (1, 2)
-                        assert all(c in (1, 2) for _, c in rep.forward.sub)
+                        assert all(rep.forward.coefficient(k) in (0, 1) for k in range(i - 1))
                     if rep.back is not None:
-                        assert all(c == 1 for _, c in rep.back.sub)
+                        assert all(rep.back.coefficient(k) in (0, 1) for k in range(i - 1))
 
 
 @pytest.mark.parametrize("family,d,D", [(B, 2, 4), (K, 3, 3), (K, 2, 4)])
@@ -401,15 +409,14 @@ def test_period_rules_match_reference_loops_on_every_class(family):
             v = c.pattern
             for i in range(D + 1):
                 ref = [ref_sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)]
-                assert layer_coefficients(family, D, v, i) == [int(bit) for bit in ref[:i]]
+                layer = layer_poly_eval(family, D, v, i)
+                assert [layer.coefficient(k) for k in range(i)] == [int(bit) for bit in ref[:i]]
                 assert [sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)] == ref
             for w in _archetypes(family, v):
                 for i in range(1, D + 1):
                     for d2_rules in (False, True):
-                        got = [
-                            intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
-                            for j in range(i - 1, D + 1)
-                        ]
+                        report = intersection_report_eval(family, D, v, w, i, d2_rules)
+                        got = [report.back is not None] + [j == report.forward_j for j in range(i, D + 1)]
                         ref = [
                             ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
                             for j in range(i - 1, D + 1)
@@ -417,16 +424,15 @@ def test_period_rules_match_reference_loops_on_every_class(family):
                         assert got == ref, (v, w, i, d2_rules)
                         forward = [j for j in range(i, D + 1) if ref[j - i + 1]]
                         assert len(forward) <= 1
-                        assert unique_j0_eval(family, D, v, w, i, d2_rules) == (
-                            forward[0] if forward else None
-                        )
+                        assert report.forward_j == (forward[0] if forward else None)
 
 
 def test_unique_j0_rejects_index_beyond_diameter():
-    with pytest.raises(IndexOutOfRange):
-        unique_j0_eval(B, 3, (0, 1, 0), (1, 0, 0), 4, d2_rules=False)
-    with pytest.raises(IndexOutOfRange):
-        unique_j0_eval(B, 3, (0, 1, 0), (1, 0, 0), 0, d2_rules=False)
+    for i in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            intersection_report_eval(B, 3, (0, 1, 0), (1, 0, 0), i, d2_rules=False)
+        with pytest.raises(IndexOutOfRange):
+            unique_j0(GraphParams(B, 2, 3), (0, 1, 0), (1, 0, 0), i)
 
 
 def test_suffix_periods_worked_example():
@@ -461,7 +467,60 @@ def _arcs(draw):
 def test_period_rules_match_reference_loops_on_random_arcs(arc):
     family, D, v, w, i, d2_rules = arc
     for word in (v, w):
-        assert layer_coefficients(family, D, word, i) == [
-            int(ref_sublayer_nonempty(family, D, word, k, i)) for k in range(i)
+        assert [sublayer_nonempty(family, D, word, k, i) for k in range(i)] == [
+            ref_sublayer_nonempty(family, D, word, k, i) for k in range(i)
         ]
-    assert unique_j0_eval(family, D, v, w, i, d2_rules) == ref_unique_j0_eval(family, D, v, w, i, d2_rules)
+    report = intersection_report_eval(family, D, v, w, i, d2_rules)
+    assert report.forward_j == ref_unique_j0_eval(family, D, v, w, i, d2_rules)
+
+
+@st.composite
+def _masks(draw):
+    top = draw(st.integers(0, 12))
+    mask = draw(st.integers(0, 2**14 - 1))
+    # lead 2 only beside a clear bit top - 1, as in a forward intersection
+    lead = 0 if top == 0 else draw(st.integers(0, 1 if mask >> (top - 1) & 1 else 2))
+    return top, mask, lead
+
+
+@_PROPERTY
+@given(_masks())
+def test_from_mask_is_canonical(args):
+    top, mask, lead = args
+    coeffs = [0] * top + [1]
+    for k in range(top):
+        coeffs[k] -= mask >> k & 1
+    if top:
+        coeffs[top - 1] -= lead
+    poly = LayerPolynomial.from_mask(top, mask, lead)
+    assert poly.to_poly() == IntPolynomial(coeffs)
+    assert [poly.evaluate(d) for d in (2, 3, 7)] == [IntPolynomial(coeffs).evaluate(d) for d in (2, 3, 7)]
+    assert [poly.coefficient(k) for k in range(top)] == [-c for c in coeffs[:top]]
+    if top:  # bit top - 1 set against lead = 1, and bits >= top dropped
+        twin = LayerPolynomial.from_mask(top, mask | 1 << (top - 1))
+        other = LayerPolynomial.from_mask(top, mask & ~(1 << (top - 1)), 1)
+        assert twin == other and hash(twin) == hash(other)
+        assert LayerPolynomial.from_mask(top, mask | 0b101 << top, lead) == poly
+
+
+# intersection reports against BFS beyond the exhaustive range above
+_BFS_GRAPHS = [GraphParams(B, 2, 12), GraphParams(K, 2, 11), GraphParams(K, 3, 7)]
+
+
+@functools.lru_cache(maxsize=None)
+def _graph(params):
+    return build_explicit(params)
+
+
+@_PROPERTY
+@given(st.sampled_from(_BFS_GRAPHS), st.integers(0, 2**32), st.integers(0, 3))
+def test_intersection_reports_match_bfs_on_random_arcs(params, v_draw, k):
+    g = _graph(params)
+    v_id = v_draw % len(g.vertices)
+    w_id = g.succ[v_id][k % len(g.succ[v_id])]
+    v, w = g.vertices[v_id], g.vertices[w_id]
+    counts = Counter(zip(bfs_distances(g, v_id), bfs_distances(g, w_id)))
+    for i in range(1, params.D + 1):
+        report = intersection_report(params, v, w, i)
+        for j in range(i - 1, params.D + 1):
+            assert intersection_poly_at(report, j).evaluate(params.d) == counts[(i, j)], (v, w, i, j)

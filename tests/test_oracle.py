@@ -157,7 +157,7 @@ def test_verify_grid_detects_injected_fault(monkeypatch):
         if i == 2 and poly.coefficient(0) == 0:
             from layerscope.layers import LayerPolynomial
 
-            return LayerPolynomial.build(i, {0: 1})  # off-by-one a_0
+            return LayerPolynomial.from_mask(i, 1)  # off-by-one a_0
         return poly
 
     monkeypatch.setattr("layerscope.layers.layer_star_poly", broken)
