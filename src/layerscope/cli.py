@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import AlphabetTooSmall, LayerscopeError, TooLarge
-from .graphs import Family, GraphParams, build_explicit, split_symbols, validate_vertex
+from .graphs import Family, GraphParams, alphabet_size, build_explicit, split_symbols, validate_vertex
 from .layers import layer_poly_eval
 from .oracle import simulate_walk_hops, verify_grid
 from .probabilities import (
@@ -83,14 +83,11 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction a/b, got {text!r}") from None
 
 
-def _check_word(family: Family, D: int, word: List[int], alphabet: Optional[int]) -> tuple:
-    """Validate a vertex word; alphabet defaults to the symbols actually used."""
-    size = alphabet if alphabet is not None else max(word, default=0) + 1
-    if family is Family.KAUTZ and alphabet is None:
-        size = max(size, 2)
-    d = size if family is Family.DEBRUIJN else size - 1
-    params = GraphParams(family, max(d, 2), D)
-    return validate_vertex(params, word)
+def _check_word(family: Family, D: int, word: List[int], d: Optional[int]) -> tuple:
+    """Validate a vertex word at degree d, by default the least degree whose alphabet holds its symbols."""
+    if d is None:
+        d = max(word, default=0) + (family is Family.DEBRUIJN)
+    return validate_vertex(GraphParams(family, max(d, 2), D), word)
 
 
 def _emit_table(headers: List[str], rows: List[List[str]], notes: List[str]) -> None:
@@ -126,9 +123,7 @@ def cmd_layers(args) -> int:
     D = args.D
     if (args.vertex is None) == (args.cls is None):
         raise _UsageError("layers needs exactly one of --vertex or --class")
-    alphabet = None
-    if args.d is not None:
-        alphabet = args.d if family is Family.DEBRUIJN else args.d + 1
+    alphabet = None if args.d is None else alphabet_size(family, args.d)
     if args.cls is not None:
         word = split_symbols(args.cls)
         if canonical_pattern(word) != tuple(word):
@@ -142,7 +137,7 @@ def cmd_layers(args) -> int:
         label = args.cls
     else:
         word = split_symbols(args.vertex)
-        v = _check_word(family, D, word, alphabet)
+        v = _check_word(family, D, word, args.d)
         label = args.vertex
     indices = [args.i] if args.i is not None else list(range(D + 1))
     headers = ["i", "|S_i*|"]
@@ -391,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values outgrow the 4,300-digit default
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -53,6 +53,11 @@ class Family(Enum):
         return self.value
 
 
+def alphabet_size(family: Family, d: int) -> int:
+    """Symbols a vertex word draws from: d for De Bruijn, d + 1 for Kautz."""
+    return d if family is Family.DEBRUIJN else d + 1
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """Family plus degree d >= 2 and diameter D >= 1."""
@@ -69,7 +74,7 @@ class GraphParams:
 
     @property
     def alphabet_size(self) -> int:
-        return self.d if self.family is Family.DEBRUIJN else self.d + 1
+        return alphabet_size(self.family, self.d)
 
     @property
     def vertex_count(self) -> int:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
-from .graphs import Family, Vertex, vertex_count_poly
+from .graphs import Family, Vertex, alphabet_size, vertex_count_poly
 from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction
 from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
@@ -147,7 +147,7 @@ def _class_terms(
     s = max(pattern) + 1
     pi_v = suffix_periods(pattern)
     masks = layer_masks(family, D, pi_v)
-    alphabet = s + 1 if d is None else (d if family is Family.DEBRUIJN else d + 1)
+    alphabet = s + 1 if d is None else alphabet_size(family, d)
     for x in range(min(s + 1, alphabet)):
         if family is Family.KAUTZ and x == pattern[-1]:
             continue
@@ -194,7 +194,7 @@ def p_t_conditional(
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
     d = _concrete_degree(regime)
-    if d is not None and c.s > (d if family is Family.DEBRUIJN else d + 1):
+    if d is not None and c.s > alphabet_size(family, d):
         raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
     num = IntPolynomial.zero()  # |c| * sum_w weight(w) |S_i*(v) cap S_j*(w)|
     for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, d, (i,)):
@@ -403,8 +403,6 @@ def expected_hops(
     input probabilities at the chain's degree). Raises ChainDiverges at
     deflection probability 1, where state D becomes absorbing.
     """
-    if chain.deflect_prob == 1:
-        raise ChainDiverges("deflection probability 1 never absorbs (P_t(D, D) = 1)")
     hops = hitting_times(chain)
     if start is None:
         start = chain.start_from_input_probabilities()

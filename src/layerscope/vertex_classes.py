@@ -9,7 +9,7 @@ with s distinct symbols is a falling factorial in d:
     De Bruijn:  d (d-1) ... (d-s+1)
     Kautz:      (d+1) d (d-1) ... (d-s+2)
 
-which correctly evaluates to 0 whenever the concrete alphabet is too small.
+which is 0 whenever the concrete alphabet is too small.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import AlphabetTooSmall, TooLarge
-from .graphs import Family, GraphParams, Vertex
+from .graphs import Family, GraphParams, Vertex, alphabet_size
 from .polynomials import IntPolynomial
 
 Pattern = Tuple[int, ...]
@@ -71,7 +71,7 @@ class VertexClass:
         return {"pattern": self.label(), "s": self.s, "cardinality": self.cardinality.to_json()}
 
 
-def _patterns(family: Family, D: int) -> List[Pattern]:
+def _patterns(family: Family, D: int, alphabet: int) -> List[Pattern]:
     kautz = family is Family.KAUTZ
     out: List[Pattern] = []
     word = [0] * D
@@ -80,7 +80,7 @@ def _patterns(family: Family, D: int) -> List[Pattern]:
         if pos == D:
             out.append(tuple(word))
             return
-        for s in range(used + 1):
+        for s in range(min(used + 1, alphabet)):
             if kautz and s == word[pos - 1]:
                 continue
             word[pos] = s
@@ -91,39 +91,41 @@ def _patterns(family: Family, D: int) -> List[Pattern]:
     return out
 
 
-def class_count(family: Family, D: int) -> int:
-    """Number of classes, Bell(D) for De Bruijn and Bell(D - 1) for Kautz, from
-    the Bell triangle."""
-    row = [1]
-    for _ in range(D if family is Family.DEBRUIJN else D - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+def class_count(family: Family, D: int, alphabet: Optional[int] = None) -> int:
+    """Number of classes with at most alphabet symbols (default: all of them, Bell(D)
+    for De Bruijn and Bell(D - 1) for Kautz), counted by the number of symbols used."""
+    repeat_free = family is Family.KAUTZ  # a Kautz word never repeats its last symbol
+    ways = {1: 1}  # prefixes of the current length by their number of symbols
+    for _ in range(D - 1):
+        nxt: Counter = Counter()
+        for used, count in ways.items():
+            nxt[used] += (used - repeat_free) * count
+            if alphabet is None or used < alphabet:
+                nxt[used + 1] += count
+        ways = nxt
+    return sum(ways.values())
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_classes(family: Family, D: int) -> Tuple[VertexClass, ...]:
-    """All classes for the family and diameter, in lexicographic pattern order.
+def enumerate_classes(family: Family, D: int, alphabet: Optional[int] = None) -> Tuple[VertexClass, ...]:
+    """The classes with at most alphabet symbols (default: all), in lexicographic pattern order.
 
-    Patterns with more symbols than a given concrete alphabet are included;
-    their cardinality polynomial vanishes there. The result is cached per
-    (family, D) and shared by every caller, hence a tuple. More than
-    CLASS_CAP classes raise TooLarge before any is built.
+    The result is cached per (family, D, bound), any bound >= D being no bound,
+    and shared by every caller, hence a tuple. More than CLASS_CAP classes raise
+    TooLarge before any is built.
     """
     if D < 1:
         raise ValueError(f"diameter D must be >= 1, got {D}")
-    count = class_count(family, D)
+    return _build_classes(family, D, D if alphabet is None else min(alphabet, D))
+
+
+@functools.lru_cache(maxsize=None)
+def _build_classes(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, ...]:
+    count = class_count(family, D, alphabet)
     if count > CLASS_CAP:
-        raise TooLarge(f"{family}(d,{D}) has {count:,} vertex classes, above the cap of {CLASS_CAP:,}")
+        bound = "" if alphabet == D else f" with at most {alphabet} symbols"
+        raise TooLarge(f"{family}(d,{D}) has {count:,} vertex classes{bound}, above the cap of {CLASS_CAP:,}")
     return tuple(
-        VertexClass(
-            pattern=p,
-            family=family,
-            cardinality=class_cardinality_poly(family, max(p) + 1),
-        )
-        for p in _patterns(family, D)
+        VertexClass(p, family, class_cardinality_poly(family, max(p) + 1)) for p in _patterns(family, D, alphabet)
     )
 
 
@@ -146,14 +148,6 @@ def representative(c: VertexClass, params: GraphParams) -> Vertex:
     return c.pattern
 
 
-@functools.lru_cache(maxsize=None)
-def _classes_within(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, ...]:
-    return tuple(c for c in enumerate_classes(family, D) if c.s <= alphabet)
-
-
 def classes_realizable(family: Family, D: int, d: int) -> List[VertexClass]:
-    """Classes with at least one vertex at concrete degree d, in a new list.
-
-    The filtered classes are cached per (family, D, alphabet size).
-    """
-    return list(_classes_within(family, D, d if family is Family.DEBRUIJN else d + 1))
+    """Classes with at least one vertex at concrete degree d, in a new list."""
+    return list(enumerate_classes(family, D, alphabet_size(family, d)))

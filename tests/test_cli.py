@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import layerscope
 from layerscope.cli import main
+from layerscope.graphs import Family
 from layerscope.polynomials import RationalFunction
+from layerscope.probabilities import build_chain, expected_hops
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +235,30 @@ def test_markov_json_payload(capsys):
     assert data["expected_hops_from_input"] == "38526305/8424324"
     rows = data["rows"]
     assert rows[0] == ["1", "0", "0", "0", "0"]
+
+
+def test_markov_at_a_concrete_degree_enumerates_only_its_alphabet(capsys):
+    # Bell(12) = 4,213,597 classes are over the class cap; 2,048 fit d = 2
+    rc, out, err = run_cli(capsys, "markov", "-f", "B", "-d", "2", "-D", "12", "-p", "1/10")
+    assert rc == 0 and err == ""
+    rc, out, err = run_cli(capsys, "markov", "-f", "B", "-d", "3", "-D", "16", "-p", "1/10")
+    assert rc == 2 and out == ""
+    assert "7,174,454 vertex classes with at most 3 symbols" in err
+
+
+@pytest.mark.parametrize("digits", [2200, 4400])
+def test_markov_prints_exact_values_past_4300_digits(capsys, digits):
+    # 1/733...3: the -p text itself, or the chain's exact values, pass 4,300 digits,
+    # Python's default limit on integer-string conversion, which main lifts
+    p = "1/7" + "3" * (digits - 1)
+    rc, out, err = run_cli(capsys, "markov", "-f", "B", "-d", "2", "-D", "3", "-p", p, "--format", "json")
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    chain = build_chain(Family.DEBRUIJN, 2, 3, Fraction(p))
+    assert data["deflect_prob"] == p
+    assert data["rows"] == [[str(x) for x in row] for row in chain.rows]
+    assert data["expected_hops_from_input"] == str(expected_hops(chain))
+    assert len(data["expected_hops_from_input"]) > 4300
 
 
 def test_unknown_family_exit_code(capsys):

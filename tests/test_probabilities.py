@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from layerscope.errors import ChainDiverges, InvalidRange, RegimeRequired
-from layerscope.graphs import Family, GraphParams, build_explicit, vertex_count_poly
-from layerscope.oracle import oracle_transition_table
+from layerscope.graphs import Family, GraphParams, build_explicit, distance_row, vertex_count_poly
+from layerscope.oracle import DistanceTable, oracle_transition_table
 from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
 from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
@@ -48,6 +48,26 @@ def _class(family, D, pattern):
 # ---------------------------------------------------------------------------
 # input probabilities
 # ---------------------------------------------------------------------------
+
+
+class _ClosedFormTable(DistanceTable):
+    """Rows from graphs.distance_row, which verify checks against BFS, in place of BFS."""
+
+    def __init__(self, g):
+        self.g = g
+        self.rows = [distance_row(g.params, v) for v in g.vertices]
+
+
+def test_concrete_sums_past_the_bell_cap_match_distance_rows():
+    # B(d,12) has Bell(12) = 4,213,597 classes, over CLASS_CAP; 2,048 have at most 2 symbols
+    g = build_explicit(GraphParams(B, 2, 12))
+    table = _ClosedFormTable(g)
+    n = len(g.vertices)
+    for i in range(1, 13):
+        pairs = sum(row.count(i) for row in table.rows)
+        assert p_in_value(B, 2, 12, i) == Fraction(pairs, n * (n - 1)), i
+    oracle = oracle_transition_table(g, table)
+    assert {key: p_t_value(B, 2, 12, *key) for key in oracle} == oracle
 
 
 def test_p_in_conditional_examples():

@@ -67,7 +67,7 @@ def test_n_s_counts():
 
 
 def test_class_count_independent_of_degree():
-    # the same enumeration serves every concrete degree; only realizability shifts
+    # the class set depends on D alone; a concrete degree builds those its alphabet realizes
     assert len(classes_realizable(K, 4, 2)) == 4  # the 4-symbol class needs d >= 3
     assert len(classes_realizable(K, 4, 3)) == 5
     assert len(classes_realizable(B, 4, 2)) == 8  # s <= 2
@@ -161,3 +161,27 @@ def test_class_count_is_bell_and_guards_enumeration():
     for family, D in [(B, 12), (K, 13), (B, 14)]:
         with pytest.raises(TooLarge, match="vertex classes"):
             enumerate_classes(family, D)
+
+
+@pytest.mark.parametrize("family", [B, K])
+def test_bounded_enumeration_equals_the_filtered_unbounded_one(family):
+    # the reference: every Bell-many class, filtered by symbol count
+    for D in range(1, 10):
+        every = enumerate_classes(family, D)
+        for d in range(2, 6):
+            alphabet = GraphParams(family, d, D).alphabet_size
+            got = classes_realizable(family, D, d)
+            assert got == [c for c in every if c.s <= alphabet], (D, d)
+            assert class_count(family, D, alphabet) == len(got)
+            if alphabet >= D:
+                assert enumerate_classes(family, D, alphabet) is every
+
+
+def test_bounded_enumeration_reaches_past_the_bell_cap():
+    # Bell(12) = 4,213,597 classes, but only 2^11 patterns use at most two symbols
+    assert len(classes_realizable(B, 12, 2)) == 2048 == class_count(B, 12, 2)
+    with pytest.raises(TooLarge, match="4,213,597 vertex classes, above"):
+        enumerate_classes(B, 12)
+    # S(16, 1) + S(16, 2) + S(16, 3) classes fit an alphabet of 3
+    with pytest.raises(TooLarge, match="7,174,454 vertex classes with at most 3 symbols"):
+        classes_realizable(B, 16, 3)
