@@ -15,7 +15,6 @@ from .errors import (
     LengthMismatch,
     NotASuccessor,
     PoleAtValue,
-    RegimeRequired,
     SameVertex,
     SymbolOutOfRange,
     TooLarge,
@@ -23,7 +22,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     ExplicitDigraph,
     Family,
     GraphParams,
@@ -50,8 +48,6 @@ from .layers import (
 )
 from .polynomials import IntPolynomial, RationalFunction
 from .probabilities import (
-    SYMBOLIC_ALL_D,
-    SYMBOLIC_D_GE_3,
     AsymptoticProbe,
     DeflectionChain,
     ProbabilityTable,

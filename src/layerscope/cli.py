@@ -22,7 +22,6 @@ from .graphs import Family, GraphParams, alphabet_size, build_explicit, split_sy
 from .layers import layer_poly_eval
 from .oracle import simulate_walk_hops, verify_grid
 from .probabilities import (
-    SYMBOLIC_D_GE_3,
     build_chain,
     expected_hops,
     hitting_times,
@@ -73,7 +72,6 @@ def _int_arg(rule: str, ok):
 _degree = _int_arg(">= 2", lambda v: v >= 2)
 _diameter = _int_arg(">= 1", lambda v: v >= 1)
 _packets = _int_arg("0 (off) or >= 2", lambda v: v == 0 or v >= 2)
-_cap = _int_arg(">= 1", lambda v: v >= 1)
 
 
 def _fraction(text: str) -> Fraction:
@@ -206,7 +204,7 @@ def cmd_pt(args) -> int:
     rows, json_rows = [], []
     for i, j in pairs:
         if symbolic:
-            rf = p_t(family, D, i, j, SYMBOLIC_D_GE_3)
+            rf = p_t(family, D, i, j)
             rows.append([str(i), str(j), rf.format()])
             json_rows.append({"i": i, "j": j, "formula": rf.format(), "rf": rf.to_json()})
         else:
@@ -245,7 +243,7 @@ def cmd_verify(args) -> int:
     families = [Family.parse(f) for f in args.family] if args.family else list(Family)
     d_values = args.d or [2, 3, 4]
     D_values = args.D or [2, 3, 4, 5]
-    summary = verify_grid(families, d_values, D_values, max_vertices=args.cap)
+    summary = verify_grid(families, d_values, D_values)
     for m in summary.mismatches:
         print(json.dumps(m.to_json(), sort_keys=True))
     grid = ", ".join(
@@ -299,9 +297,7 @@ def cmd_markov(args) -> int:
                 f"{args.monte_carlo} packets x {float(overall):.6g} expected hops = "
                 f"{float(args.monte_carlo * overall):.3g} hops, above the walk budget of {WALK_HOP_BUDGET:,}"
             )
-        params = GraphParams(family, args.d, args.D)
-        params.check_apsp_cap()
-        g = build_explicit(params, args.cap)
+        g = build_explicit(GraphParams(family, args.d, args.D))
         stats = simulate_walk_hops(g, float(p), args.monte_carlo, seed=args.seed)
         diff = abs(stats.mean - float(overall))
         bound = 3 * stats.stderr
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-f", "--family", action="append", help="restrict to one family (repeatable)")
     sp.add_argument("-d", "--d", type=_degree, action="append", help="degree values (repeatable)")
     sp.add_argument("-D", "--D", type=_diameter, action="append", help="diameter values (repeatable)")
-    sp.add_argument("--cap", type=_cap, default=None, help="vertex cap per graph")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("markov", help="absorbing distance chain and expected hops")
@@ -379,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--monte-carlo", type=_packets, default=0, metavar="N", help="cross-check with N packets (0: off)"
     )
     sp.add_argument("--seed", type=int, default=0, help="random seed for the packet walk")
-    sp.add_argument("--cap", type=_cap, default=None, help="vertex cap for the explicit graph")
     sp.set_defaults(func=cmd_markov)
 
     return parser

@@ -22,7 +22,7 @@ class SameVertex(LayerscopeError):
 
 
 class TooLarge(LayerscopeError):
-    """A computation exceeds a resource cap (vertices, vertex classes or walk hops)."""
+    """A computation exceeds a resource cap (n^2 distance bytes, vertex classes or walk hops)."""
 
 
 class VertexNotInGraph(LayerscopeError):
@@ -47,10 +47,6 @@ class PoleAtValue(LayerscopeError):
 
 class AlphabetTooSmall(LayerscopeError):
     """Class pattern needs more symbols than the alphabet provides."""
-
-
-class RegimeRequired(LayerscopeError):
-    """Caller must pick an explicit degree regime (symbolic d>=3 or a concrete d)."""
 
 
 class InvalidRange(LayerscopeError):

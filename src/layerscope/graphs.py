@@ -14,7 +14,6 @@ All functions are pure and all returned collections are in deterministic
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -31,8 +30,6 @@ from .errors import (
 
 Vertex = Tuple[int, ...]
 
-DEFAULT_VERTEX_CAP = 200_000
-CAP_ENV_VAR = "LAYERSCOPE_CAP"
 APSP_CAP = 2**28  # bytes of all-pairs distances, one per ordered pair
 
 
@@ -82,11 +79,6 @@ class GraphParams:
         if self.family is Family.KAUTZ:
             n += self.d ** (self.D - 1)
         return n
-
-    def check_apsp_cap(self) -> None:
-        """Raise TooLarge when one distance byte per ordered pair would exceed APSP_CAP."""
-        if self.vertex_count**2 > APSP_CAP:
-            raise TooLarge(f"{self} needs n^2 = {self.vertex_count**2:,} bytes, above the APSP cap of {APSP_CAP:,}")
 
     def __str__(self) -> str:
         return f"{self.family}({self.d},{self.D})"
@@ -234,26 +226,12 @@ def _enumerate_vertices(params: GraphParams) -> Iterator[Vertex]:
     yield from extend(0)
 
 
-def default_cap() -> int:
-    """The vertex cap from LAYERSCOPE_CAP, else DEFAULT_VERTEX_CAP; raises ValueError if invalid."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return cap
-
-
-def build_explicit(params: GraphParams, max_vertices: int | None = None) -> ExplicitDigraph:
-    """Materialize the digraph; refuses graphs above the vertex cap."""
-    cap = default_cap() if max_vertices is None else max_vertices
+def build_explicit(params: GraphParams) -> ExplicitDigraph:
+    """Materialize the digraph. Every caller goes on to n^2 distance bytes (BFS table or walk
+    rows), so graphs above APSP_CAP raise TooLarge before any vertex is enumerated."""
     n = params.vertex_count
-    if n > cap:
-        raise TooLarge(f"{params} has {n} vertices, above the cap of {cap}")
+    if n**2 > APSP_CAP:
+        raise TooLarge(f"{params} needs n^2 = {n**2:,} bytes, above the APSP cap of {APSP_CAP:,}")
     vertices = tuple(_enumerate_vertices(params))
     assert len(vertices) == n
     index = {v: i for i, v in enumerate(vertices)}

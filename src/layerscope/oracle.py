@@ -38,7 +38,6 @@ class DistanceTable:
     """
 
     def __init__(self, g: ExplicitDigraph):
-        g.params.check_apsp_cap()
         self.g = g
         self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
 
@@ -124,13 +123,7 @@ class WalkStats:
         return self.std / self.packets**0.5
 
 
-def simulate_walk_hops(
-    g: ExplicitDigraph,
-    deflect_prob: float,
-    packets: int,
-    seed: int,
-    table: Optional[DistanceTable] = None,
-) -> WalkStats:
+def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, seed: int) -> WalkStats:
     """Walk packets between uniform ordered pairs of distinct vertices.
 
     At each hop the packet is deflected with probability deflect_prob to a
@@ -139,9 +132,9 @@ def simulate_walk_hops(
 
     A packet is followed by its distance r to z alone: a straight hop lowers r
     by one, a deflection reads r off z's `graphs.landing_row`. The initial r is
-    read off table's rows if given, else `graphs.distance_row` (no BFS): n^2
-    bytes. At deflect_prob > 0 the rows must give each z exactly one shortest-path
-    successor (else AssertionError), and the landing rows add n D (d - 1) bytes.
+    read off `graphs.distance_row` (no BFS): n^2 bytes. At deflect_prob > 0 the
+    rows must give each z exactly one shortest-path successor (else
+    AssertionError), and the landing rows add n D (d - 1) bytes.
 
     Raises ChainDiverges at deflect_prob 1 (no packet would arrive) and
     ValueError for deflect_prob outside [0, 1) or fewer than 2 packets.
@@ -154,9 +147,8 @@ def simulate_walk_hops(
         raise ChainDiverges("deflection probability 1: no packet reaches its destination")
     if not 0 <= deflect_prob < 1 or packets < 2:
         raise ValueError(f"need 0 <= deflect_prob < 1 and packets >= 2, got {deflect_prob} and {packets}")
-    g.params.check_apsp_cap()
     rng = random.Random(seed)
-    rows = [distance_row(g.params, v) for v in g.vertices] if table is None else table.rows
+    rows = [distance_row(g.params, v) for v in g.vertices]
     n = len(g.vertices)
     p = float(deflect_prob)
 
@@ -256,7 +248,7 @@ class GridSummary:
         return not self.mismatches
 
 
-def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Optional[int] = None) -> None:
+def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D)."""
     from . import probabilities as prob
     from .layers import (
@@ -266,10 +258,10 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
     )
     from .vertex_classes import enumerate_classes
 
-    params.check_apsp_cap()
-    g = build_explicit(params, max_vertices)
-    table = DistanceTable(g)
     d, D = params.d, params.D
+    g = build_explicit(params)
+    enumerated = {c.pattern: c for c in enumerate_classes(params.family, D)}  # the class cap, before any BFS
+    table = DistanceTable(g)
     n = len(g.vertices)
     ctx_base = {"family": str(params.family), "d": d, "D": D}
 
@@ -318,7 +310,6 @@ def verify_graph(params: GraphParams, summary: GridSummary, max_vertices: Option
 
     # class cardinalities
     observed = oracle_class_counts(g)
-    enumerated = {c.pattern: c for c in enumerate_classes(params.family, D)}
     for pattern, c in enumerated.items():
         formula, oracle = c.cardinality.evaluate(d), observed.get(pattern, 0)
         summary.checks += 1
@@ -357,12 +348,11 @@ def verify_grid(
     families: Iterable[Family] = (Family.DEBRUIJN, Family.KAUTZ),
     d_values: Iterable[int] = (2, 3, 4),
     D_values: Iterable[int] = (2, 3, 4, 5),
-    max_vertices: Optional[int] = None,
 ) -> GridSummary:
     """Cross-check every closed-form quantity against the oracle on a grid of graphs."""
     summary = GridSummary()
     for family in families:
         for d in d_values:
             for D in D_values:
-                verify_graph(GraphParams(family, d, D), summary, max_vertices)
+                verify_graph(GraphParams(family, d, D), summary)
     return summary

@@ -33,30 +33,13 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import AlphabetTooSmall, ChainDiverges, InvalidRange, RegimeRequired
+from .errors import ChainDiverges, InvalidRange
 from .graphs import Family, Vertex, alphabet_size, vertex_count_poly
 from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction
 from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
-
-# Degree regimes for transition probabilities. P_in needs no regime.
-SYMBOLIC_D_GE_3 = "d>=3"
-SYMBOLIC_ALL_D = "all-d"
-
-Regime = Union[str, int]
-
-
-def _concrete_degree(regime: Regime) -> Optional[int]:
-    if regime == SYMBOLIC_D_GE_3:
-        return None
-    if isinstance(regime, int) and not isinstance(regime, bool) and regime >= 2:
-        return regime
-    raise RegimeRequired(
-        f"regime must be SYMBOLIC_D_GE_3 or a concrete integer degree >= 2, got {regime!r}"
-    )
-
 
 # ---------------------------------------------------------------------------
 # input probabilities
@@ -178,33 +161,17 @@ def _transition_sums(
     return sums
 
 
-def p_t_conditional(
-    family: Family,
-    D: int,
-    c: VertexClass,
-    i: int,
-    j: int,
-    regime: Regime = SYMBOLIC_D_GE_3,
-) -> RationalFunction:
-    """P_t(i, j | v in class c) in the requested degree regime.
-
-    Symbolic results are valid for all d >= 3; a concrete regime returns the
-    constant rational function of the exact value at that degree.
-    """
+def p_t_conditional(family: Family, D: int, c: VertexClass, i: int, j: int) -> RationalFunction:
+    """P_t(i, j | v in class c), valid for all d >= 3; evaluate it at d for a concrete degree."""
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
-    d = _concrete_degree(regime)
-    if d is not None and c.s > alphabet_size(family, d):
-        raise AlphabetTooSmall(f"class {c.label()} has no vertices at d={d}")
     num = IntPolynomial.zero()  # |c| * sum_w weight(w) |S_i*(v) cap S_j*(w)|
-    for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, d, (i,)):
+    for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, None, (i,)):
         if j0 == j:
             num = num + class_cardinality_poly(family, s) * LayerPolynomial.from_mask(i, m, t).to_poly()
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
     den = IntPolynomial((-1, 1)) * c.cardinality * layer  # (d - 1) |c| |S_i*(v)|
-    if d is None:
-        return RationalFunction(num, den)
-    return RationalFunction.from_fraction(Fraction(num.evaluate(d), den.evaluate(d)))
+    return RationalFunction(num, den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,20 +207,11 @@ def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     return total / ((d - 1) * vertex_count_poly(family, D).evaluate(d))
 
 
-def p_t(
-    family: Family, D: int, i: int, j: int, regime: Regime = SYMBOLIC_D_GE_3
-) -> RationalFunction:
-    """P_t(i, j), class-weighted, in the requested regime.
-
-    The symbolic form carries d >= 3 validity; see p_t_value for concrete
-    degrees.
-    """
+def p_t(family: Family, D: int, i: int, j: int) -> RationalFunction:
+    """P_t(i, j), class-weighted, valid for all d >= 3; p_t_value gives it at a concrete degree."""
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
-    d = _concrete_degree(regime)
-    if d is None:
-        return _p_t_symbolic(family, D, i, j)
-    return RationalFunction.from_fraction(p_t_value(family, d, D, i, j))
+    return _p_t_symbolic(family, D, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +225,7 @@ class ProbabilityTable:
 
     family: Family
     D: int
-    kind: str  # "input" or "transition"
-    regime: Regime
+    kind: str  # "input" (valid for all d >= 2) or "transition" (valid for d >= 3)
     entries: dict
 
     def check_normalized(self) -> bool:
@@ -296,23 +253,23 @@ class ProbabilityTable:
             "family": str(self.family),
             "D": self.D,
             "kind": self.kind,
-            "regime": str(self.regime),
+            "regime": "all-d" if self.kind == "input" else "d>=3",
             "entries": keyed,
         }
 
 
 def input_table(family: Family, D: int) -> ProbabilityTable:
     entries = {i: p_in(family, D, i) for i in range(1, D + 1)}
-    return ProbabilityTable(family, D, "input", SYMBOLIC_ALL_D, entries)
+    return ProbabilityTable(family, D, "input", entries)
 
 
-def transition_table(family: Family, D: int, regime: Regime = SYMBOLIC_D_GE_3) -> ProbabilityTable:
+def transition_table(family: Family, D: int) -> ProbabilityTable:
     entries = {
-        (i, j): p_t(family, D, i, j, regime)
+        (i, j): p_t(family, D, i, j)
         for i in range(1, D + 1)
         for j in range(i, D + 1)
     }
-    return ProbabilityTable(family, D, "transition", regime, entries)
+    return ProbabilityTable(family, D, "transition", entries)
 
 
 # ---------------------------------------------------------------------------

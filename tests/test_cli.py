@@ -147,13 +147,24 @@ def test_pt_refuses_class_count_over_the_cap(capsys):
     assert "190,899,322 vertex classes" in err and "1,000,000" in err
 
 
-def test_verify_cap_exit_code(capsys):
-    rc, _, err = run_cli(capsys, "verify", "-d", "3", "-D", "4", "--cap", "10")
-    assert rc == 2
-    assert "cap" in err
+def _no_bfs(*_):
+    raise AssertionError("BFS ran before the caps were checked")
 
 
-# K(5,6) has 18,750 vertices, under the vertex cap, and n^2 = 351,562,500
+def test_verify_cap_exit_code(capsys, monkeypatch):
+    # B(2,12): n^2 = 16,777,216 fits, Bell(12) classes do not; B(2,16) is over n^2
+    monkeypatch.setattr("layerscope.oracle.DistanceTable", _no_bfs)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "12")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "4,213,597 vertex classes" in err and "1,000,000" in err
+    rc, out, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "16")
+    assert rc == 2 and out == ""
+    assert "B(2,16) needs n^2 = 4,294,967,296 bytes, above the APSP cap of 268,435,456" in err
+
+
+# K(5,6) has 18,750 vertices and n^2 = 351,562,500
 @pytest.mark.parametrize(
     "argv",
     [["verify"], ["markov", "-p", "1/10", "--monte-carlo", "10"]],
@@ -168,23 +179,22 @@ def test_distance_table_over_the_apsp_cap_refused(capsys, argv):
 
 
 def _no_build(*_):
-    raise AssertionError("the graph was built before the APSP cap was checked")
+    raise AssertionError("a vertex was enumerated before the APSP cap was checked")
 
 
 @pytest.mark.parametrize(
-    "namespace, argv, message",
+    "argv, message",
     [
-        ("layerscope.oracle", ["verify", "-f", "B", "-d", "2", "-D", "16"], "B(2,16) needs n^2 = 4,294,967,296 bytes"),
+        (["verify", "-f", "B", "-d", "2", "-D", "16"], "B(2,16) needs n^2 = 4,294,967,296 bytes"),
         (
-            "layerscope.cli",
             ["markov", "-f", "K", "-d", "5", "-D", "6", "-p", "1/10", "--monte-carlo", "10"],
             "K(5,6) needs n^2 = 351,562,500 bytes",
         ),
     ],
     ids=["verify", "markov"],
 )
-def test_apsp_cap_refused_before_the_graph_is_built(capsys, monkeypatch, namespace, argv, message):
-    monkeypatch.setattr(f"{namespace}.build_explicit", _no_build)
+def test_apsp_cap_refused_before_the_graph_is_built(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("layerscope.graphs._enumerate_vertices", _no_build)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert f"error: {message}, above the APSP cap of 268,435,456\n" == err
@@ -313,23 +323,16 @@ def test_diameter_below_one_rejected(capsys):
     assert rc == 1 and "error:" in err
 
 
-def test_invalid_cap_env_rejected(capsys, monkeypatch):
-    for raw in ("lots", "0", "-3"):
-        monkeypatch.setenv("LAYERSCOPE_CAP", raw)
-        rc, _, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "2")
-        assert rc == 1
-        assert "error:" in err and "LAYERSCOPE_CAP" in err
-
-
+# there is no --cap option: the guards are the n^2, class and hop caps
 def test_verify_rejects_nonpositive_cap(capsys):
-    for cap in ("0", "-1"):
+    for cap in ("0", "-1", "10"):
         rc, out, err = run_cli(capsys, "verify", "-f", "B", "-d", "2", "-D", "2", "--cap", cap)
         assert rc == 1 and out == ""
         assert "error:" in err and "--cap" in err
 
 
 def test_markov_rejects_nonpositive_cap(capsys):
-    for cap in ("0", "-1"):
+    for cap in ("0", "-1", "10"):
         rc, out, err = run_cli(
             capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10",
             "--monte-carlo", "100", "--cap", cap,

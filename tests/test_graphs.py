@@ -196,17 +196,17 @@ def test_build_explicit_counts_and_order():
     assert len(g.vertices) == 12
 
 
-def test_build_explicit_cap():
-    with pytest.raises(TooLarge):
-        build_explicit(GraphParams(B, 2, 10), max_vertices=100)
+def test_build_explicit_cap(monkeypatch):
+    # every caller goes on to n^2 distance bytes, so the cap is read off the
+    # parameters before any vertex is enumerated; B(2,14) is exactly at it
+    assert len(build_explicit(GraphParams(B, 2, 14)).vertices) == 2**14
 
+    def no_vertices(params):
+        raise AssertionError("a vertex was enumerated before the APSP cap was checked")
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LAYERSCOPE_CAP", "4")
-    with pytest.raises(TooLarge):
-        build_explicit(GraphParams(B, 2, 3))
-    monkeypatch.setenv("LAYERSCOPE_CAP", "8")
-    assert len(build_explicit(GraphParams(B, 2, 3)).vertices) == 8
+    monkeypatch.setattr("layerscope.graphs._enumerate_vertices", no_vertices)
+    with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes, above the APSP cap of 268,435,456"):
+        build_explicit(GraphParams(K, 5, 6))
 
 
 def test_bfs_layers_partition():

@@ -14,13 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from layerscope.errors import ChainDiverges, InvalidRange, RegimeRequired
+from layerscope.errors import ChainDiverges, InvalidRange
 from layerscope.graphs import Family, GraphParams, build_explicit, distance_row, vertex_count_poly
 from layerscope.oracle import DistanceTable, oracle_transition_table
 from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
 from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
-    SYMBOLIC_D_GE_3,
     asymptotic_check,
     build_chain,
     expected_hops,
@@ -165,18 +164,20 @@ def test_p_t_conditional_examples():
     assert p_t_conditional(K, 12, c, 1, 6).is_zero
     c = _class(K, 4, (0, 1, 0, 1))
     assert p_t_conditional(K, 4, c, 1, 2).format() == "1 / d"
+    # a class with no vertices at d = 2 is still a class symbolically
+    assert p_t_conditional(K, 4, _class(K, 4, (0, 1, 2, 3)), 1, 3).format() == "1 / d"
 
 
 @pytest.mark.parametrize(
-    "family, pattern, regime, archetypes",
+    "family, pattern, d, archetypes",
     [
-        (K, (0, 1, 2) * 2, SYMBOLIC_D_GE_3, 3),  # the two symbols other than the last, one fresh
-        (B, (0, 1, 0, 2, 1, 0), SYMBOLIC_D_GE_3, 4),  # every used symbol, one fresh
+        (K, (0, 1, 2) * 2, None, 3),  # the two symbols other than the last, one fresh
+        (B, (0, 1, 0, 2, 1, 0), None, 4),  # every used symbol, one fresh
         (B, (0, 1, 1, 0, 1, 0), 2, 2),  # d = 2: no fresh symbol is left
     ],
 )
 def test_p_t_conditional_builds_one_report_per_successor_archetype(
-    monkeypatch, family, pattern, regime, archetypes
+    monkeypatch, family, pattern, d, archetypes
 ):
     import layerscope.probabilities as probabilities
 
@@ -188,8 +189,10 @@ def test_p_t_conditional_builds_one_report_per_successor_archetype(
         return real(*args)
 
     monkeypatch.setattr(probabilities, "forward_rule", counting)
-    c = _class(family, len(pattern), pattern)
-    p_t_conditional(family, len(pattern), c, 2, 4, regime=regime)
+    if d is None:
+        p_t_conditional(family, len(pattern), _class(family, len(pattern), pattern), 2, 4)
+    else:  # a concrete degree reaches the class terms through _transition_sums(family, D, d)
+        list(probabilities._class_terms(family, len(pattern), pattern, d, (2,)))
     assert calls == [2] * archetypes  # the kernel fills row i = 2 only
 
 
@@ -227,8 +230,8 @@ def test_p_t_conditional_matches_per_class_oracle():
                                 hits += 1
                     acc += Fraction(hits, len(layer) * (d - 1))
                 oracle_value = acc / len(ids)
-                got = p_t_conditional(family, D, c, i, j, regime=d)
-                assert got.evaluate(d) == oracle_value, (family, d, D, c.pattern, i, j)
+                got = p_t_conditional(family, D, c, i, j).evaluate(d)
+                assert got == oracle_value, (family, d, D, c.pattern, i, j)
 
 
 @pytest.mark.parametrize("family", [B, K])
@@ -278,18 +281,13 @@ def test_p_t_d2_rederivation_consistent():
 @pytest.mark.parametrize("family", [B, K])
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_p_t_concrete_kernel_matches_symbolic(family, d):
-    # A concrete degree sums the per-class kernel in fractions rather than
-    # evaluating the symbolic form, so the two agree by computation, not by
-    # construction: check every cell and every realizable class.
+    # A concrete degree sums the per-class kernel in fractions over the
+    # realizable classes rather than evaluating the symbolic form, so the two
+    # agree by computation, not by construction: check every cell.
     for D in range(1, 6):
-        classes = classes_realizable(family, D, d)
         for i in range(1, D + 1):
             for j in range(i, D + 1):
-                assert p_t_value(family, d, D, i, j) == p_t(family, D, i, j).evaluate(d)
-                for c in classes:
-                    symbolic = p_t_conditional(family, D, c, i, j).evaluate(d)
-                    got = p_t_conditional(family, D, c, i, j, regime=d)
-                    assert got == RationalFunction.from_fraction(symbolic), (D, c.pattern, i, j)
+                assert p_t_value(family, d, D, i, j) == p_t(family, D, i, j).evaluate(d), (D, i, j)
 
 
 def _reference_transition_sums(family, D, d):
@@ -352,7 +350,7 @@ def test_p_t_value_matches_class_by_class_fractions(family, d):
             for j in range(i, D + 1):
                 acc = Fraction(0)
                 for c in classes:
-                    cond = p_t_conditional(family, D, c, i, j, regime=d).evaluate(d)
+                    cond = p_t_conditional(family, D, c, i, j).evaluate(d)
                     acc += c.cardinality.evaluate(d) * cond
                 assert p_t_value(family, d, D, i, j) == acc / total, (D, i, j)
 
@@ -417,11 +415,8 @@ def test_p_t_table_b6_matches_sympy():
 
 
 def test_p_t_regime_handling():
-    assert p_t(K, 4, 1, 2, regime=3).evaluate(0) == Fraction(1, 9)
-    with pytest.raises(RegimeRequired):
-        p_t(K, 4, 1, 2, regime="whenever")
-    with pytest.raises(RegimeRequired):
-        p_t_conditional(K, 4, _class(K, 4, (0, 1, 0, 1)), 1, 2, regime=1)
+    # p_t is symbolic (d >= 3); p_t_value is the one concrete spelling
+    assert p_t(K, 4, 1, 2).evaluate(3) == p_t_value(K, 3, 4, 1, 2) == Fraction(1, 9)
     with pytest.raises(InvalidRange):
         p_t(K, 4, 3, 2)
     with pytest.raises(InvalidRange):
@@ -527,20 +522,10 @@ def test_diameter_one_families_end_to_end():
     assert hitting_times(chain)[1] == Fraction(4, 3)
 
 
-def test_unrealizable_class_rejected_at_concrete_degree():
-    from layerscope.errors import AlphabetTooSmall
-
-    c = _class(K, 4, (0, 1, 2, 3))
-    with pytest.raises(AlphabetTooSmall):
-        p_t_conditional(K, 4, c, 1, 2, regime=2)
-    # symbolically the class is fine
-    assert p_t_conditional(K, 4, c, 1, 3).format() == "1 / d"
-
-
 def test_concrete_transition_table_normalized():
-    table = transition_table(K, 4, regime=2)
-    assert table.check_normalized()
-    assert table.entries[(1, 2)].evaluate(0) == Fraction(1, 4)
+    for i in range(1, 5):
+        assert sum(p_t_value(K, 2, 4, i, j) for j in range(i, 5)) == 1, i
+    assert p_t_value(K, 2, 4, 1, 2) == Fraction(1, 4)
 
 
 def test_chain_expected_hops_exact_value():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layerscope.graphs
-from layerscope.errors import ChainDiverges, TooLarge
+from layerscope.errors import ChainDiverges
 from layerscope.graphs import ExplicitDigraph, Family, GraphParams, build_explicit
 from layerscope.oracle import DistanceTable, WalkStats, simulate_walk_hops
 
@@ -53,19 +53,14 @@ PINNED = {
 _GRAPHS = sorted({key[0] for key in PINNED})
 
 
-@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda k: f"{Family[k[0]]}({k[1]},{k[2]})")
-def test_walk_stats_pinned(graph):
-    family, d, D = graph
-    g = build_explicit(GraphParams(Family[family], d, D))
-    table = DistanceTable(g)
-    for (key, p, seed, packets), (mean, std) in PINNED.items():
-        if key != graph:
-            continue
-        stats = simulate_walk_hops(g, float(Fraction(p)), packets, seed, table=table)
-        assert (stats.packets, stats.mean, stats.std) == (packets, mean, std), (p, seed)
+def _walk_on_rows(monkeypatch, g, rows):
+    """A short walk on g with graphs.distance_row patched to hand out rows[k] for vertex k."""
+    by_vertex = dict(zip(g.vertices, rows))
+    monkeypatch.setattr(layerscope.graphs, "distance_row", lambda params, v: by_vertex[v])
+    return simulate_walk_hops(g, 0.1, 10, seed=1)
 
 
-def test_walk_rejects_two_shortest_path_successors():
+def test_walk_rejects_two_shortest_path_successors(monkeypatch):
     g = build_explicit(GraphParams(Family.KAUTZ, 3, 3))
     table = DistanceTable(g)
     u = 0
@@ -75,10 +70,10 @@ def test_walk_rejects_two_shortest_path_successors():
     w = next(w for w in g.succ[u] if table.rows[w][z] != want)
     table.rows[w][z] = want
     with pytest.raises(AssertionError):
-        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+        _walk_on_rows(monkeypatch, g, table.rows)
 
 
-def test_walk_rejects_two_shortest_path_successors_in_wide_lanes():
+def test_walk_rejects_two_shortest_path_successors_in_wide_lanes(monkeypatch):
     # degree above 256: more successors than a one-byte count could hold
     g = build_explicit(GraphParams(Family.DEBRUIJN, 300, 1))
     table = DistanceTable(g)
@@ -87,10 +82,10 @@ def test_walk_rejects_two_shortest_path_successors_in_wide_lanes():
     w = next(w for w in g.succ[u] if table.rows[w][z] == 1)
     table.rows[w][z] = 0
     with pytest.raises(AssertionError):
-        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+        _walk_on_rows(monkeypatch, g, table.rows)
 
 
-def test_walk_rejects_two_closer_successors_in_a_bfs_table():
+def test_walk_rejects_two_closer_successors_in_a_bfs_table(monkeypatch):
     # a strongly connected stand-in with B(2,2)'s size: vertex 0 reaches 3 through
     # both of its successors, 1 and 2, and every other (u, z) has one closer successor
     params = GraphParams(Family.DEBRUIJN, 2, 2)
@@ -99,35 +94,21 @@ def test_walk_rejects_two_closer_successors_in_a_bfs_table():
     table = DistanceTable(g)
     assert (table.rows[0][3], table.rows[1][3], table.rows[2][3]) == (2, 1, 1)
     with pytest.raises(AssertionError, match="vertex 0"):
-        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
+        _walk_on_rows(monkeypatch, g, table.rows)
 
 
-def test_walk_rejects_a_destination_with_no_closer_successor():
+def test_walk_rejects_a_destination_with_no_closer_successor(monkeypatch):
     # raising one entry removes closer successors and adds none
     g = build_explicit(GraphParams(Family.DEBRUIJN, 2, 2))
     table = DistanceTable(g)
     table.rows[0][3] += 5
     with pytest.raises(AssertionError, match="vertex 0"):
-        simulate_walk_hops(g, 0.1, 10, seed=1, table=table)
-
-
-def test_walk_memory_below_four_bytes_per_pair():
-    g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
-    n = len(g.vertices)
-    assert n == 320
-    table = DistanceTable(g)
-    tracemalloc.start()
-    try:
-        simulate_walk_hops(g, 0.1, 20_000, 11, table=table)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n * n, peak
+        _walk_on_rows(monkeypatch, g, table.rows)
 
 
 @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda k: f"{Family[k[0]]}({k[1]},{k[2]})")
 def test_walk_stats_pinned_on_closed_form_rows(graph):
-    # no table: the hop index comes from graphs.distance_row, not from BFS
+    # the initial distances come from graphs.distance_row, not from BFS
     family, d, D = graph
     g = build_explicit(GraphParams(Family[family], d, D))
     for (key, p, seed, packets), (mean, std) in PINNED.items():
@@ -135,19 +116,6 @@ def test_walk_stats_pinned_on_closed_form_rows(graph):
             continue
         stats = simulate_walk_hops(g, float(Fraction(p)), packets, seed)
         assert (stats.packets, stats.mean, stats.std) == (packets, mean, std), (p, seed)
-
-
-def test_walk_without_table_memory_below_four_bytes_per_pair():
-    g = build_explicit(GraphParams(Family.KAUTZ, 4, 4))
-    n = len(g.vertices)
-    assert n == 320
-    tracemalloc.start()
-    try:
-        simulate_walk_hops(g, 0.1, 20_000, 11)  # the n^2 distance rows are built inside
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n * n, peak
 
 
 def test_walk_without_table_memory_below_two_bytes_per_pair():
@@ -174,13 +142,6 @@ def test_walk_at_p_zero_builds_no_hop_index():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * n, peak
-
-
-def test_walk_refuses_over_the_apsp_cap_before_building_rows():
-    # an empty vertex list: the cap must be read off the parameters alone
-    g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices=(), succ=(), index={})
-    with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes"):
-        simulate_walk_hops(g, 0.1, 10, seed=1)
 
 
 def reference_walk(g, table, deflect_prob, packets, seed):
@@ -240,7 +201,6 @@ def test_walk_matches_reference_randrange_and_choice_walk(graph, p, packets, see
     g, table = _graph_and_table(*graph)
     want = reference_walk(g, table, float(Fraction(p)), packets, seed)
     assert simulate_walk_hops(g, float(Fraction(p)), packets, seed) == want
-    assert simulate_walk_hops(g, float(Fraction(p)), packets, seed, table=table) == want
 
 
 @pytest.fixture
