@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layerscope.graphs
-from layerscope.errors import ChainDiverges
+from layerscope.errors import ChainDiverges, TooLarge
 from layerscope.graphs import ExplicitDigraph, Family, GraphParams, build_explicit
 from layerscope.oracle import DistanceTable, WalkStats, simulate_walk_hops
 
@@ -218,6 +218,17 @@ def test_walk_at_deflection_one_diverges_before_building_rows(rows_refused):
     # at p = 1 a packet one hop from z is always deflected away: no walk ends
     with pytest.raises(ChainDiverges):
         simulate_walk_hops(rows_refused, 1.0, 10, seed=1)
+
+
+def test_walk_refuses_over_the_apsp_cap_before_building_rows(rows_refused, monkeypatch):
+    # a walk gets its graph from build_explicit, which reads the n^2 cap off
+    # the parameters before any vertex is enumerated or any row is built
+    def no_vertices(params):
+        raise AssertionError("a vertex was enumerated before the APSP cap was checked")
+
+    monkeypatch.setattr(layerscope.graphs, "_enumerate_vertices", no_vertices)
+    with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes"):
+        simulate_walk_hops(build_explicit(GraphParams(Family.KAUTZ, 5, 6)), 0.1, 10, seed=1)
 
 
 @pytest.mark.parametrize("deflect_prob", [-0.1, 1.5, float("nan")])
