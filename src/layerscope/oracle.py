@@ -137,7 +137,8 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
     AssertionError), and the landing rows add n D (d - 1) bytes.
 
     Raises ChainDiverges at deflect_prob 1 (no packet would arrive) and
-    ValueError for deflect_prob outside [0, 1) or fewer than 2 packets.
+    ValueError for deflect_prob outside [0, 1), fewer than 2 packets or fewer
+    than 2 vertices (no pair to draw).
     """
     import random
 
@@ -147,6 +148,8 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
         raise ChainDiverges("deflection probability 1: no packet reaches its destination")
     if not 0 <= deflect_prob < 1 or packets < 2:
         raise ValueError(f"need 0 <= deflect_prob < 1 and packets >= 2, got {deflect_prob} and {packets}")
+    if len(g.vertices) < 2:
+        raise ValueError(f"need at least 2 vertices to draw a pair, got {len(g.vertices)}")
     rng = random.Random(seed)
     rows = [distance_row(g.params, v) for v in g.vertices]
     n = len(g.vertices)

@@ -21,6 +21,8 @@ GOLDEN = {
     "pin -f K -D 9 -d 2 --format json": "1318e6e6d99e09275094b781afe4aefa0f7ed964e1281be18d9f9a441f59f9e7",
     "pt -f K -D 7 --format csv": "c2981fcec5963ecc77c78f2fc0b643d55e6430a9b83b6061517d7369c1dac24c",
     "pt -f B -D 7": "4cf76bfe51c50b4347c0a08e71d2dbc593690e03bd7ea91b922b06c120a79c86",
+    # recorded with the pseudo-remainder gcd alone, which took about two minutes
+    "pt -f B -D 8": "b9e06180158cd4191cf55ccfa7bd0aba7861c12bade307799162ece35929b5cf",
     "pt -f B -D 8 -d 2 --format csv": "5414f9f1da724239d373fda1525ea273b47e0e871ea3f2d3b7f1cccb45393e4e",
     "pt -f K -D 8 -d 3 --format json": "261e9d06a3a378a41671364482b3f238041fa6b9240583ab7238ae6fbeddc3a9",
     "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerscope import polynomials
 from layerscope.errors import PoleAtValue, ZeroDenominator
 from layerscope.polynomials import IntPolynomial, RationalFunction, poly_gcd
 
@@ -53,6 +55,57 @@ def test_poly_gcd_primitive():
     # contents are ignored
     assert poly_gcd(poly(2, 0), poly(4)) == P.one()
     assert poly_gcd(P.zero(), b) == b
+
+
+def _prs_gcd(a, b):
+    """poly_gcd with the heuristic giving up: the pseudo-remainder sequence alone."""
+    with mock.patch.object(polynomials, "_heu_gcd", lambda a, b: None):
+        return poly_gcd(a, b)
+
+
+def test_poly_gcd_fallback_keeps_the_primitive_answers():
+    a = poly(1, 0, -1)
+    b = poly(1, -2, 1)
+    assert _prs_gcd(a, b) == poly(1, -1)
+    assert _prs_gcd(poly(2, 0), poly(4)) == P.one()
+    assert _prs_gcd(P.zero(), b) == b
+
+
+def test_poly_gcd_heuristic_outgrows_a_large_spurious_factor(monkeypatch):
+    # a/g and b/g are squares of four consecutive-integer products, so their
+    # values share at least 4!^2 at every point: the first candidate is wrong,
+    # and a fixed growth factor 73794/27011 would give up after six points
+    def no_fallback(a, b):
+        raise AssertionError("the pseudo-remainder fallback ran")
+
+    monkeypatch.setattr(polynomials, "_pseudo_rem", no_fallback)
+    d, g = P.variable(), poly(1, 2)
+
+    def four_from(k):
+        out = P.one()
+        for i in range(k, k + 4):
+            out = out * (d - P.constant(i))
+        return out
+
+    assert poly_gcd(g * four_from(0) ** 2, g * four_from(4) ** 2) == g
+
+
+@pytest.mark.parametrize(
+    "a, b, points",
+    [
+        # gcd 1 each time, but the first evaluation points share a factor
+        # whose base-xi digits read as a polynomial that divides neither input
+        (poly(1, -1, 0, 1), poly(1, 1, 1), 2),
+        (poly(-1, -3, -3), poly(-3, -2), 3),
+        (poly(2, 0, -2, 0), poly(4, 0, 1, 1, 3), 4),
+    ],
+)
+def test_poly_gcd_heuristic_retries_at_a_larger_point(monkeypatch, a, b, points):
+    evaluated = []
+    evaluate = P.evaluate
+    monkeypatch.setattr(P, "evaluate", lambda p, x: evaluated.append(x) or evaluate(p, x))
+    assert poly_gcd(a, b) == P.one() == _prs_gcd(a, b)
+    assert len(evaluated) == 2 * points and len(set(evaluated)) == points
 
 
 def test_rf_canonical_cancellation():
@@ -185,3 +238,22 @@ def test_rf_json_round_trip_keeps_value_and_hash(num, den):
 def test_rf_evaluate_matches_raw_quotient(num, den, x):
     if den.evaluate(x) != 0:
         assert RationalFunction(num, den).evaluate(x) == Fraction(num.evaluate(x), den.evaluate(x))
+
+
+_factors = st.lists(st.integers(-9, 9), max_size=5).map(P)  # zero and constants included
+_contents = st.integers(-6, 6).filter(bool)
+
+
+@_PROPERTY
+@given(_factors, _factors, _factors, _contents, _contents)
+def test_poly_gcd_matches_pseudo_remainder_reference(a, b, g, ka, kb):
+    # common factor g, contents ka, kb and leading coefficients of either sign
+    a, b = a * g * ka, b * g * kb
+    got = poly_gcd(a, b)
+    assert got == _prs_gcd(a, b)
+    if not (a.is_zero and b.is_zero):
+        assert got.leading > 0 and got.content() == 1
+        for p in (a, b):
+            assert p.is_zero or p.divides_exactly(got) * got == p
+        if not g.is_zero:
+            assert got.divides_exactly(g.primitive()) * g.primitive() == got

@@ -432,6 +432,11 @@ def test_transition_table_normalized():
     assert data["entries"]["1,2"] == {"num": [1], "den": [0, 0, 1]}
 
 
+def test_transition_table_normalized_at_b8():
+    # the largest symbolic P_t table within reach: gcd inputs of degree up to 327
+    assert transition_table(B, 8).check_normalized()
+
+
 # ---------------------------------------------------------------------------
 # mean distance and asymptotics
 # ---------------------------------------------------------------------------

@@ -242,3 +242,16 @@ def test_walk_rejects_fewer_than_two_packets(rows_refused, packets):
     # the sample std divides by packets - 1
     with pytest.raises(ValueError, match="packets >= 2"):
         simulate_walk_hops(rows_refused, 0.1, packets, seed=1)
+
+
+@pytest.mark.parametrize("vertices", [(), ((0, 1, 0, 1, 0, 1),)])
+def test_walk_rejects_fewer_than_two_vertices_before_any_draw(rows_refused, monkeypatch, vertices):
+    # with no pair of distinct vertices to draw, the packet loop would redraw
+    # forever; a draw raises here, so a missing guard fails instead of hanging
+    def no_draw(self, k):
+        raise AssertionError("a random draw was made on a graph without a pair")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draw)
+    g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices, succ=((),) * len(vertices), index={})
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        simulate_walk_hops(g, 0.0, 10, seed=1)
