@@ -17,9 +17,10 @@ and otherwise the two are disjoint. The two key facts:
 
 Every cardinality is d^i - sum a_k d^k with small a_k, held as a bit mask by
 ``LayerPolynomial``. ``layer_poly_eval`` and ``intersection_report_eval`` do
-the work on (family, D); their ``d2_rules`` picks the d = 2 criteria (De Bruijn
-only) over the d >= 3 ones. ``layer_star_poly`` and ``intersection_report``
-take (params, ...), read the regime off params.d and check adjacency. Both
+the work on (family, D), the latter for every i of one arc at once; its
+``d2_rules`` picks the d = 2 criteria (De Bruijn only) over the d >= 3 ones.
+``layer_star_poly`` and ``intersection_report`` take (params, ...), read the
+regime off params.d and check adjacency. Both
 spellings stay: ``bench/spans.py`` times each, and the acceptance tests import
 the params ones. Every other predicate here reads one of the four.
 """
@@ -129,7 +130,12 @@ class LayerPolynomial:
         return IntPolynomial([-self.coefficient(k) for k in range(self.top)] + [1])
 
     def evaluate(self, d: int) -> int:
-        return self.to_poly().evaluate(d)
+        value, power, mask = d**self.top, 1, self.mask
+        while mask:  # minus d^k for each set bit k
+            if mask & 1:
+                value -= power
+            mask, power = mask >> 1, power * d
+        return value - self.lead * d ** (self.top - 1) if self.top else value
 
     def __str__(self) -> str:
         return self.to_poly().format()
@@ -268,34 +274,38 @@ def forward_rule(
 
 
 def intersection_report_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, i: int, d2_rules: bool
-) -> IntersectionReport:
-    """The report for w adjacent from v; d2_rules selects the d = 2 criteria (extra
-    De Bruijn emptiness cases), False the d >= 3 criteria."""
-    if not 1 <= i <= D:
-        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
-    pi_v = suffix_periods(v)
-    a = layer_masks(family, D, pi_v)[i]
+    family: Family, D: int, v: Vertex, w: Vertex, d2_rules: bool
+) -> List[IntersectionReport]:
+    """The reports for i = 1 .. D (index i - 1) for w adjacent from v; d2_rules selects
+    the d = 2 criteria (extra De Bruijn emptiness cases), False the d >= 3 criteria."""
+    pi_v, pi_w = suffix_periods(v), suffix_periods(w)
+    masks = layer_masks(family, D, pi_v)
     same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
-    j0, m, t = forward_rule(family, D, i, a, same, pi_v, suffix_periods(w))
-    forward = LayerPolynomial.from_mask(i, m, t)
-    if back_intersection_empty(family, v, w, i):
-        assert j0 == i, "empty back intersection forces a forward intersection at j = i"
-        return IntersectionReport(v, w, i, IntersectionCase.FORWARD_ONLY, None, i, forward)
-    if d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i):
-        # no forward j at all at d = 2: v_i = ... = v_D != w_D; a_{i-1} = 1 lets
-        # the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
-        back = LayerPolynomial.from_mask(i - 1, a)
-        return IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None)
-    back = LayerPolynomial.from_mask(i - 1, a & ~m)  # from_mask(i - 1, .) keeps bits k < i - 1
-    return IntersectionReport(v, w, i, IntersectionCase.SPLIT, back, j0, forward)
+    reports = []
+    for i, a in enumerate(masks[1:], 1):
+        j0, m, t = forward_rule(family, D, i, a, same, pi_v, pi_w)
+        forward = LayerPolynomial.from_mask(i, m, t)
+        if back_intersection_empty(family, v, w, i):
+            assert j0 == i, "empty back intersection forces a forward intersection at j = i"
+            reports.append(IntersectionReport(v, w, i, IntersectionCase.FORWARD_ONLY, None, i, forward))
+        elif d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i):
+            # no forward j at all at d = 2: v_i = ... = v_D != w_D; a_{i-1} = 1 lets
+            # the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
+            back = LayerPolynomial.from_mask(i - 1, a)
+            reports.append(IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None))
+        else:
+            back = LayerPolynomial.from_mask(i - 1, a & ~m)  # from_mask(i - 1, .) keeps bits k < i - 1
+            reports.append(IntersectionReport(v, w, i, IntersectionCase.SPLIT, back, j0, forward))
+    return reports
 
 
 def intersection_report(params: GraphParams, v: Vertex, w: Vertex, i: int) -> IntersectionReport:
     """Classify and return the intersection cardinality polynomials for one arc."""
     if not is_successor(params, v, w):
         raise NotASuccessor(f"{w} is not adjacent from {v}")
-    return intersection_report_eval(params.family, params.D, v, w, i, d2_rules=params.d == 2)
+    if not 1 <= i <= params.D:
+        raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
+    return intersection_report_eval(params.family, params.D, v, w, d2_rules=params.d == 2)[i - 1]
 
 
 def intersection_poly_at(report: IntersectionReport, j: int) -> IntPolynomial:

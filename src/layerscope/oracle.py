@@ -74,9 +74,7 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
     n = len(g.vertices)
     if table is None:
         table = DistanceTable(g)
-    acc: Dict[Tuple[int, int], Fraction] = {
-        (i, j): Fraction(0) for i in range(1, D + 1) for j in range(i, D + 1)
-    }
+    landings: Counter = Counter()  # (i, j, |S_i*(v)|): landings summed over v
     for v_id, succ_v in enumerate(g.succ):
         hist = table.arc_histogram(v_id, *succ_v)
         sizes = table.layer_counts(v_id)
@@ -85,7 +83,10 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
                 raise AssertionError(f"vertex {v_id}: not one shortest-path successor per destination")
             for j in range(i, D + 1):
                 if hist[(i, j)]:
-                    acc[(i, j)] += Fraction(hist[(i, j)], sizes[i])
+                    landings[(i, j, sizes[i])] += hist[(i, j)]
+    acc = dict.fromkeys(((i, j) for i in range(1, D + 1) for j in range(i, D + 1)), Fraction(0))
+    for (i, j, size), count in landings.items():
+        acc[(i, j)] += Fraction(count, size)
     scale = Fraction(1, n * (d - 1))
     return {key: val * scale for key, val in acc.items()}
 
@@ -254,11 +255,7 @@ class GridSummary:
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D)."""
     from . import probabilities as prob
-    from .layers import (
-        intersection_poly_at,
-        intersection_report,
-        layer_star_poly,
-    )
+    from .layers import intersection_report_eval, layer_star_poly
     from .vertex_classes import enumerate_classes
 
     d, D = params.d, params.D
@@ -292,24 +289,27 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
                 ctx = {**ctx_base, "v": format_vertex(params, v), "i": i}
                 summary.mismatch("layer_count", ctx, formula, counts[i])
 
-    # intersection counts and j0 for every arc and every (i, j)
+    # intersection counts and j0 for every arc and every (i, j); the arcs come
+    # from g.succ, so one report list per arc needs no adjacency check
+    def arc(v, w, **cell):
+        return {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w), **cell}
+
     for v_id, v in enumerate(g.vertices):
         for w_id in g.succ[v_id]:
             w = g.vertices[w_id]
-            arc = {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w)}
             hist = table.arc_histogram(v_id, w_id)
-            for i in range(1, D + 1):
-                report = intersection_report(params, v, w, i)
+            for i, report in enumerate(intersection_report_eval(params.family, D, v, w, d == 2), 1):
                 j0 = report.forward_j
                 forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
                 summary.checks += D + 3 - i  # j0 check plus one per j in [i-1, D]
                 if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
-                    summary.mismatch("unique_j0", {**arc, "i": i}, j0, forward_js)
+                    summary.mismatch("unique_j0", arc(v, w, i=i), j0, forward_js)
+                back = report.back.evaluate(d) if report.back is not None else 0
+                forward = report.forward.evaluate(d) if j0 is not None else 0
                 for j in range(i - 1, D + 1):
-                    formula = intersection_poly_at(report, j).evaluate(d)
-                    oracle = hist[(i, j)]
-                    if formula != oracle:
-                        summary.mismatch("intersection_count", {**arc, "i": i, "j": j}, formula, oracle)
+                    formula = back if j == i - 1 else forward if j == j0 else 0
+                    if formula != hist[(i, j)]:
+                        summary.mismatch("intersection_count", arc(v, w, i=i, j=j), formula, hist[(i, j)])
 
     # class cardinalities
     observed = oracle_class_counts(g)

@@ -413,9 +413,8 @@ def test_period_rules_match_reference_loops_on_every_class(family):
                 assert [layer.coefficient(k) for k in range(i)] == [int(bit) for bit in ref[:i]]
                 assert [sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)] == ref
             for w in _archetypes(family, v):
-                for i in range(1, D + 1):
-                    for d2_rules in (False, True):
-                        report = intersection_report_eval(family, D, v, w, i, d2_rules)
+                for d2_rules in (False, True):
+                    for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules), 1):
                         got = [report.back is not None] + [j == report.forward_j for j in range(i, D + 1)]
                         ref = [
                             ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
@@ -430,7 +429,7 @@ def test_period_rules_match_reference_loops_on_every_class(family):
 def test_unique_j0_rejects_index_beyond_diameter():
     for i in (0, 4):
         with pytest.raises(IndexOutOfRange):
-            intersection_report_eval(B, 3, (0, 1, 0), (1, 0, 0), i, d2_rules=False)
+            intersection_report(GraphParams(B, 3, 3), (0, 1, 0), (1, 0, 0), i)
         with pytest.raises(IndexOutOfRange):
             unique_j0(GraphParams(B, 2, 3), (0, 1, 0), (1, 0, 0), i)
 
@@ -470,7 +469,7 @@ def test_period_rules_match_reference_loops_on_random_arcs(arc):
         assert [sublayer_nonempty(family, D, word, k, i) for k in range(i)] == [
             ref_sublayer_nonempty(family, D, word, k, i) for k in range(i)
         ]
-    report = intersection_report_eval(family, D, v, w, i, d2_rules)
+    report = intersection_report_eval(family, D, v, w, d2_rules)[i - 1]
     assert report.forward_j == ref_unique_j0_eval(family, D, v, w, i, d2_rules)
 
 
@@ -501,6 +500,28 @@ def test_from_mask_is_canonical(args):
         other = LayerPolynomial.from_mask(top, mask & ~(1 << (top - 1)), 1)
         assert twin == other and hash(twin) == hash(other)
         assert LayerPolynomial.from_mask(top, mask | 0b101 << top, lead) == poly
+
+
+@_PROPERTY
+@given(st.integers(0, 16), st.integers(0, 2**18 - 1), st.integers(0, 2), st.integers(2, 1000))
+def test_layer_polynomial_evaluates_as_its_polynomial(top, mask, lead, d):
+    poly = LayerPolynomial.from_mask(top, mask, lead)
+    assert poly.evaluate(d) == poly.to_poly().evaluate(d)
+
+
+@pytest.mark.parametrize(
+    "params", [GraphParams(B, 2, 5), GraphParams(B, 3, 4), GraphParams(K, 2, 5), GraphParams(K, 3, 4)], ids=str
+)
+def test_intersection_report_is_its_entry_of_the_arc_list(params):
+    # d = 2 graphs read the d = 2 criteria, d = 3 graphs the d >= 3 ones
+    g = _graph(params)
+    for v_id, succ_v in enumerate(g.succ):
+        v = g.vertices[v_id]
+        for w in (g.vertices[w_id] for w_id in succ_v):
+            reports = intersection_report_eval(params.family, params.D, v, w, params.d == 2)
+            assert len(reports) == params.D
+            for i in range(1, params.D + 1):
+                assert intersection_report(params, v, w, i) == reports[i - 1], (v, w, i)
 
 
 # intersection reports against BFS beyond the exhaustive range above

@@ -166,6 +166,23 @@ def test_verify_grid_detects_injected_fault(monkeypatch):
     assert any(m.quantity == "layer_count" for m in summary.mismatches)
 
 
+def test_verify_graph_builds_one_report_list_per_arc(monkeypatch):
+    from layerscope.layers import intersection_report_eval as real_reports
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_reports(*args, **kwargs)
+
+    monkeypatch.setattr("layerscope.layers.intersection_report_eval", counting)
+    params = GraphParams(B, 2, 6)
+    summary = GridSummary()
+    verify_graph(params, summary)
+    assert summary.ok
+    assert len(calls) == params.vertex_count * params.d
+
+
 def test_report_json_shape():
     summary = verify_grid(families=(K,), d_values=(2,), D_values=(2,))
     assert summary.ok
@@ -206,17 +223,20 @@ def _inject(monkeypatch, quantity):
 
         monkeypatch.setattr("layerscope.graphs.distance_row", broken_row)
     elif quantity in ("intersection_count", "unique_j0"):
-        from layerscope.layers import intersection_report as real_report
+        from layerscope.layers import intersection_report_eval as real_reports
 
-        def broken_report(params, v, w, i):
-            rep = real_report(params, v, w, i)
+        def broken(rep):
+            i, v, w = rep.i, rep.v, rep.w
             if quantity == "intersection_count" and i == 2 and rep.back is not None and v[0] == w[-1]:
                 return dataclasses.replace(rep, back=None)
             if quantity == "unique_j0" and i == 1 and rep.forward_j == 1 and v[-1] == w[-1]:
                 return dataclasses.replace(rep, forward_j=2)
             return rep
 
-        monkeypatch.setattr("layerscope.layers.intersection_report", broken_report)
+        def broken_reports(family, D, v, w, d2_rules):
+            return [broken(rep) for rep in real_reports(family, D, v, w, d2_rules)]
+
+        monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
     else:
         from layerscope.probabilities import p_t_value as real_p_t
 

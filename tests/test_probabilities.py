@@ -292,7 +292,7 @@ def test_p_t_concrete_kernel_matches_symbolic(family, d):
 
 def _reference_transition_sums(family, D, d):
     """_transition_sums the long way: one intersection_report_eval per (class,
-    successor archetype, i), under the d >= 3 criteria at every d, each forward
+    successor archetype), under the d >= 3 criteria at every d, each forward
     polynomial times |c| and the archetype's weight, summed per layer polynomial."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
     sums = [{} for _ in range(D + 1)]
@@ -302,13 +302,12 @@ def _reference_transition_sums(family, D, d):
         fresh = IntPolynomial((-s if family is B else 1 - s, 1))  # d - s or d + 1 - s fresh symbols
         if d is None or fresh.evaluate(d):
             archetypes.append((v[1:] + (s,), fresh))
-        for i in range(1, D + 1):
-            layer = layer_poly_eval(family, D, v, i).to_poly()
-            for w, weight in archetypes:
-                report = intersection_report_eval(family, D, v, w, i, d2_rules=False)
+        layers = [layer_poly_eval(family, D, v, i).to_poly() for i in range(D + 1)]
+        for w, weight in archetypes:
+            for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules=False), 1):
                 by_layer = sums[i].setdefault(report.forward_j, {})
                 num = c.cardinality * weight * report.forward.to_poly()
-                by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + num
+                by_layer[layers[i]] = by_layer.get(layers[i], IntPolynomial.zero()) + num
     return sums
 
 
@@ -364,12 +363,11 @@ def _p_t_from_arc_reports(family, d, D):
         v = c.pattern
         size = c.cardinality.evaluate(d)
         arcs = [v[1:] + (x,) for x in range(alphabet) if family is B or x != v[-1]]
-        for i in range(1, D + 1):
-            den = (d - 1) * layer_poly_eval(family, D, v, i).evaluate(d)
-            for w in arcs:
-                report = intersection_report_eval(family, D, v, w, i, d2_rules=d == 2)
+        dens = [(d - 1) * layer_poly_eval(family, D, v, i).evaluate(d) for i in range(D + 1)]
+        for w in arcs:
+            for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules=d == 2), 1):
                 for j in range(i, D + 1):
-                    acc[(i, j)] += Fraction(size * intersection_poly_at(report, j).evaluate(d), den)
+                    acc[(i, j)] += Fraction(size * intersection_poly_at(report, j).evaluate(d), dens[i])
     n = vertex_count_poly(family, D).evaluate(d)
     return {key: value / n for key, value in acc.items()}
 
