@@ -26,7 +26,6 @@ from .graphs import (
     Family,
     GraphParams,
     Vertex,
-    bfs_layers,
     build_explicit,
     distance,
     format_vertex,

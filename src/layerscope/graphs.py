@@ -254,17 +254,6 @@ def bfs_distances(g: ExplicitDigraph, source_id: int) -> bytearray:
     return dist
 
 
-def bfs_layers(g: ExplicitDigraph, v: Vertex) -> List[frozenset]:
-    """Exact distance layers S_0*, ..., S_D* of v; their union is the whole vertex set."""
-    src = g.index_of(v)
-    dist = bfs_distances(g, src)
-    layers = [set() for _ in range(g.params.D + 1)]
-    for i, dv in enumerate(dist):
-        assert dv <= g.params.D, "BFS exceeded the diameter"
-        layers[dv].add(g.vertices[i])
-    return [frozenset(layer) for layer in layers]
-
-
 def format_vertex(params: GraphParams, v: Vertex) -> str:
     """Symbols joined bare for alphabets up to 10 symbols, '.'-separated beyond."""
     if params.alphabet_size <= 10:

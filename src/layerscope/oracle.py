@@ -1,9 +1,9 @@
 """Brute-force ground truth by explicit enumeration and BFS, and the packet walk.
 
 The verify oracle consults no closed form: distances come from breadth-first
-search on the materialized digraph, class sizes from grouping actual vertices,
-and probabilities from counting ordered pairs. The formula side of the package
-is validated against these numbers with exact rational equality (verify_grid).
+search on the materialized digraph, all sources at once, class sizes from grouping
+actual vertices, and probabilities from counting ordered pairs. The formula side of
+the package is validated against them with exact rational equality (verify_grid).
 The packet walk starts from `graphs.distance_row` (checked against BFS by
 verify_graph) and follows a packet's distance alone, on `graphs.landing_row`.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ChainDiverges
@@ -21,14 +23,20 @@ from .graphs import (
     ExplicitDigraph,
     Family,
     GraphParams,
-    bfs_distances,
     build_explicit,
     format_vertex,
 )
 
+_UNREACHED = bytes.maketrans(b"01", b"\x01\x00")  # a reach-set bit as 1 byte where not reached
+
 
 class DistanceTable:
     """All-pairs BFS distances for one explicit digraph (one bytearray row per source).
+
+    BFS runs for all sources at once on n-bit reach sets, R_0[s] = {s} and R_{t+1}[s] = R_t[s] | R_t[w] over
+    the arcs s -> w, until none grows. Byte z of row s counts the rounds with z not in R_t[s] (255 if never
+    reached), as `graphs.bfs_distances`; an n-byte int per source, freed as its row is made, holds the count.
+    With two generations of sets that peaks at about n^2/3 bytes beyond the rows (5.5 MB at n = 4096).
 
     Every BFS quantity the oracle checks is read off these rows with whole-row
     operations: layer sizes by `layer_counts`, arc intersections by
@@ -39,7 +47,21 @@ class DistanceTable:
 
     def __init__(self, g: ExplicitDigraph):
         self.g = g
-        self.rows: List[bytearray] = [bfs_distances(g, s) for s in range(len(g.vertices))]
+        n = len(g.vertices)
+        full, fmt = (1 << n) - 1, f"0{n}b"
+        reach, acc, rounds = [1 << n - 1 - s for s in range(n)], [0] * n, 0
+        while True:
+            for s, r in enumerate(reach):
+                if r != full:  # add 1 at every z not in r: z is bit n - 1 - z, so format() lists z in id order
+                    acc[s] += int.from_bytes(format(r, fmt).encode().translate(_UNREACHED), "big")
+            rounds += 1
+            if (grown := [reduce(or_, map(reach.__getitem__, ws), r) for r, ws in zip(reach, g.succ)]) == reach:
+                break
+            reach = grown
+        never = bytes(range(rounds)) + b"\xff" * (256 - rounds)  # a vertex never reached counted every round
+        for s in range(n):
+            acc[s] = bytearray(acc[s].to_bytes(n, "big").translate(never))  # each row frees its accumulator
+        self.rows: List[bytearray] = acc
 
     def layer_counts(self, src: int) -> List[int]:
         """|S_i*(v)| for i = 0 .. D, where v has id src."""
@@ -65,19 +87,20 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
     For each ordered pair (v, z) at distance i, the deflected link is uniform
     over the d - 1 successors of v other than the one on the unique shortest
     path to z; each landing distance j is counted. Summed over the successors
-    w of v, the arc histograms count those landings at every j >= i, and the
-    landings at i - 1 must number exactly |S_i*(v)|: one shortest-path
-    successor per destination, else AssertionError.
+    w of v, the arc histograms count those landings (see `_transition_table`).
     """
-    params = g.params
-    D, d = params.D, params.d
-    n = len(g.vertices)
     if table is None:
         table = DistanceTable(g)
+    landed = ((v, table.arc_histogram(v, *succ_v), table.layer_counts(v)) for v, succ_v in enumerate(g.succ))
+    return _transition_table(g.params, len(g.vertices), landed)
+
+
+def _transition_table(params: GraphParams, n: int, landed: Iterable) -> Dict[Tuple[int, int], Fraction]:
+    """P_t from (v_id, arc histogram summed over v's out-arcs, |S_i*(v)| for i = 0 .. D) per vertex v. Its
+    landings at i - 1 must number |S_i*(v)|: one shortest-path successor per destination, else AssertionError."""
+    D = params.D
     landings: Counter = Counter()  # (i, j, |S_i*(v)|): landings summed over v
-    for v_id, succ_v in enumerate(g.succ):
-        hist = table.arc_histogram(v_id, *succ_v)
-        sizes = table.layer_counts(v_id)
+    for v_id, hist, sizes in landed:
         for i in range(1, D + 1):
             if hist[(i, i - 1)] != sizes[i]:
                 raise AssertionError(f"vertex {v_id}: not one shortest-path successor per destination")
@@ -87,7 +110,7 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
     acc = dict.fromkeys(((i, j) for i in range(1, D + 1) for j in range(i, D + 1)), Fraction(0))
     for (i, j, size), count in landings.items():
         acc[(i, j)] += Fraction(count, size)
-    scale = Fraction(1, n * (d - 1))
+    scale = Fraction(1, n * (params.d - 1))
     return {key: val * scale for key, val in acc.items()}
 
 
@@ -290,26 +313,40 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
                 summary.mismatch("layer_count", ctx, formula, counts[i])
 
     # intersection counts and j0 for every arc and every (i, j); the arcs come
-    # from g.succ, so one report list per arc needs no adjacency check
+    # from g.succ, so one report list per arc needs no adjacency check. An arc whose formula cells equal its
+    # histogram's cells at i >= 1 passes in one comparison; any other is explained cell by cell.
     def arc(v, w, **cell):
         return {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w), **cell}
 
-    for v_id, v in enumerate(g.vertices):
-        for w_id in g.succ[v_id]:
-            w = g.vertices[w_id]
-            hist = table.arc_histogram(v_id, w_id)
-            for i, report in enumerate(intersection_report_eval(params.family, D, v, w, d == 2), 1):
-                j0 = report.forward_j
-                forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
-                summary.checks += D + 3 - i  # j0 check plus one per j in [i-1, D]
-                if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
-                    summary.mismatch("unique_j0", arc(v, w, i=i), j0, forward_js)
-                back = report.back.evaluate(d) if report.back is not None else 0
-                forward = report.forward.evaluate(d) if j0 is not None else 0
-                for j in range(i - 1, D + 1):
-                    formula = back if j == i - 1 else forward if j == j0 else 0
-                    if formula != hist[(i, j)]:
-                        summary.mismatch("intersection_count", arc(v, w, i=i, j=j), formula, hist[(i, j)])
+    def checked_arcs():  # each vertex's out-arcs checked, then their summed histogram for the oracle P_t
+        for v_id, v in enumerate(g.vertices):
+            landed: Counter = Counter()
+            for w_id in g.succ[v_id]:
+                w = g.vertices[w_id]
+                hist = table.arc_histogram(v_id, w_id)
+                landed.update(hist)
+                reports = intersection_report_eval(params.family, D, v, w, d == 2)
+                summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
+                cells = {}  # the nonzero formula cells, and forward at j0 always (hist holds no zero)
+                for i, report in enumerate(reports, 1):
+                    if report.back is not None and (back := report.back.evaluate(d)):
+                        cells[(i, i - 1)] = back
+                    j0 = report.forward_j
+                    if j0 is not None:  # a j0 outside [i, D] fails its check: a key no histogram holds
+                        cells[(i, j0) if i <= j0 <= D else ("j0", i)] = report.forward.evaluate(d)
+                if cells == {(i, j): c for (i, j), c in hist.items() if i}:
+                    continue
+                for i, report in enumerate(reports, 1):
+                    j0 = report.forward_j
+                    forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
+                    if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
+                        summary.mismatch("unique_j0", arc(v, w, i=i), j0, forward_js)
+                    for j in range(i - 1, D + 1):
+                        if (formula := cells.get((i, j), 0)) != hist[(i, j)]:
+                            summary.mismatch("intersection_count", arc(v, w, i=i, j=j), formula, hist[(i, j)])
+            yield v_id, landed, layer_counts[v_id]
+
+    oracle_pt = _transition_table(params, n, checked_arcs())
 
     # class cardinalities
     observed = oracle_class_counts(g)
@@ -336,7 +373,6 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
         Fraction(total_dist, pairs),
     )
 
-    oracle_pt = oracle_transition_table(g, table)
     for i in range(1, D + 1):
         for j in range(i, D + 1):
             summary.record(

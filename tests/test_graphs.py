@@ -16,7 +16,6 @@ from layerscope.graphs import (
     Family,
     GraphParams,
     bfs_distances,
-    bfs_layers,
     build_explicit,
     distance,
     distance_row,
@@ -209,19 +208,11 @@ def test_build_explicit_cap(monkeypatch):
         build_explicit(GraphParams(K, 5, 6))
 
 
-def test_bfs_layers_partition():
-    params = GraphParams(B, 2, 4)
-    g = build_explicit(params)
-    v = (0, 1, 1, 0)
-    layers = bfs_layers(g, v)
-    assert layers[0] == frozenset({v})
-    assert sum(len(layer) for layer in layers) == len(g.vertices)
-    seen = set()
-    for layer in layers:
-        assert not (layer & seen)
-        seen |= layer
+def test_index_of_rejects_a_vertex_not_in_the_graph():
+    g = build_explicit(GraphParams(B, 2, 4))
+    assert g.index_of((0, 1, 1, 0)) == 6
     with pytest.raises(VertexNotInGraph):
-        bfs_layers(g, (9, 9, 9, 9))
+        g.index_of((9, 9, 9, 9))
 
 
 def test_vertex_serialization():

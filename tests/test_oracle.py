@@ -4,9 +4,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscope.errors import TooLarge
-from layerscope.graphs import Family, GraphParams, build_explicit
+from layerscope.graphs import ExplicitDigraph, Family, GraphParams, bfs_distances, build_explicit
 from layerscope.oracle import (
     APSP_CAP,
     DistanceTable,
@@ -101,6 +103,41 @@ def test_arc_histogram_counts_zipped_rows(params, sources):
             assert table.arc_histogram(v_id, w_id) == Counter(zip(table.rows[v_id], table.rows[w_id]))
 
 
+def _digraph(succ):
+    """A hand-built digraph on len(succ) vertices; the table reads only the arcs."""
+    return ExplicitDigraph(GraphParams(B, 2, 2), tuple((k,) for k in range(len(succ))), succ=succ, index={})
+
+
+def _bfs_rows(g):
+    return [bfs_distances(g, s) for s in range(len(g.vertices))]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *(GraphParams(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in (2, 3, 4, 5)),  # the default verify grid
+        GraphParams(B, 300, 1),
+        # test_walk's strongly connected stand-in: vertex 0 reaches 3 through both successors
+        ((1, 2), (3, 0), (3, 0), (0, 1)),
+        # a self-loop at 0, nothing reaches 3, and 0 is unreachable from 1 and 2: 255 bytes
+        ((0, 1), (2,), (1,), (0,)),
+    ],
+    ids=str,
+)
+def test_distance_table_rows_equal_per_source_bfs(graph):
+    g = build_explicit(graph) if isinstance(graph, GraphParams) else _digraph(graph)
+    assert DistanceTable(g).rows == _bfs_rows(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n))
+)
+def test_distance_table_rows_equal_per_source_bfs_on_random_arcs(succ):
+    g = _digraph(tuple(map(tuple, succ)))
+    assert DistanceTable(g).rows == _bfs_rows(g)
+
+
 def test_apsp_cap_keeps_pair_codes_in_one_byte():
     # a code i*(D+1) + j fits a byte up to D = 15 (15*16 + 15 = 255); the
     # smallest graph at D = 15 is already over the cap, B(2,14) is exactly at it
@@ -181,6 +218,23 @@ def test_verify_graph_builds_one_report_list_per_arc(monkeypatch):
     verify_graph(params, summary)
     assert summary.ok
     assert len(calls) == params.vertex_count * params.d
+
+
+def test_verify_graph_builds_one_histogram_per_arc(monkeypatch):
+    real_histogram = DistanceTable.arc_histogram
+    calls = []
+
+    def counting(self, v_id, *w_ids):
+        calls.append(w_ids)
+        return real_histogram(self, v_id, *w_ids)
+
+    monkeypatch.setattr(DistanceTable, "arc_histogram", counting)
+    params = GraphParams(B, 2, 6)
+    summary = GridSummary()
+    verify_graph(params, summary)
+    assert summary.ok
+    assert len(calls) == params.vertex_count * params.d
+    assert all(len(w_ids) == 1 for w_ids in calls)
 
 
 def test_report_json_shape():
@@ -304,6 +358,13 @@ FAULT_RECORDS = {
 }
 
 
+def _records(summary):
+    return [
+        " ".join([m.quantity, *(f"{k}={v}" for k, v in m.context.items()), m.formula_value, m.oracle_value])
+        for m in summary.mismatches
+    ]
+
+
 # Oracle-side fault: a broken enumerate_classes would also reach the cached
 # class sums behind p_in and p_t, so the class counts are corrupted instead.
 # Records taken before the class-cardinality check built labels only on a
@@ -321,10 +382,7 @@ def test_verify_reports_injected_class_cardinality_fault_exactly(monkeypatch):
     summary = GridSummary()
     verify_graph(GraphParams(B, 2, 3), summary)
     verify_graph(GraphParams(K, 2, 3), summary)
-    records = [
-        " ".join([m.quantity, *(f"{k}={v}" for k, v in m.context.items()), m.formula_value, m.oracle_value])
-        for m in summary.mismatches
-    ]
+    records = _records(summary)
     assert (summary.checks, records) == (
         797,
         [
@@ -336,15 +394,95 @@ def test_verify_reports_injected_class_cardinality_fault_exactly(monkeypatch):
     )
 
 
+# Oracle-side fault on the BFS rows: 0110 -> 1111 is a diameter pair of B(2,4), so
+# raising it to D + 1 leaves every vertex one shortest-path successor per
+# destination, and the (D + 1)-cells it adds to two arc histograms lie outside
+# the checked cells i, j <= D. Records taken while the oracle still ran one BFS
+# per source and compared every arc cell by cell.
+def test_verify_reports_a_raised_distance_table_byte_exactly(monkeypatch):
+    real_init = DistanceTable.__init__
+
+    def raised(self, g):
+        real_init(self, g)
+        assert self.rows[6][15] == 4
+        self.rows[6][15] += 1
+
+    monkeypatch.setattr(DistanceTable, "__init__", raised)
+    summary = GridSummary()
+    verify_graph(GraphParams(B, 2, 4), summary)
+    assert (summary.checks, _records(summary)) == (
+        943,
+        [
+            "distance family=B d=2 D=4 v=0110 z=1111 4 5",
+            "layer_count family=B d=2 D=4 v=0110 i=4 2 1",
+            "intersection_count family=B d=2 D=4 v=0011 w=0110 i=2 j=4 2 1",
+            "intersection_count family=B d=2 D=4 v=0110 w=1100 i=4 j=4 2 1",
+            "intersection_count family=B d=2 D=4 v=0110 w=1101 i=4 j=3 2 1",
+            "intersection_count family=B d=2 D=4 v=1011 w=0110 i=2 j=4 2 1",
+            "p_in family=B d=2 D=4 i=4 37/120 73/240",
+            "mean_distance family=B d=2 D=4 17/6 169/60",
+            "p_t family=B d=2 D=4 i=2 j=4 17/48 31/96",
+        ],
+    )
+
+
+# Formula faults that the one-comparison pass of an arc must still explain
+# exactly: a j0 whose forward count is 0 where the histogram has no forward cell
+# (the j0 check fails, every cell agrees), and a j0 of i - 1, the back cell's j.
+# Records taken while every arc was compared cell by cell.
+FORWARD_FAULT_RECORDS = {
+    "zero_forward": [
+        f"unique_j0 family=B d=2 D=3 v={v} w={w} i={i} {i} []"
+        for v, w, i in (
+            ("000", "001", 1), ("000", "001", 2), ("000", "001", 3), ("001", "010", 3),
+            ("010", "101", 3), ("011", "110", 2), ("011", "110", 3), ("100", "001", 2),
+            ("100", "001", 3), ("101", "010", 3), ("110", "101", 3), ("111", "110", 1),
+            ("111", "110", 2), ("111", "110", 3),
+        )
+    ],
+    "j0_below_i": [
+        line
+        for v, w, count in (("001", "011", 2), ("010", "100", 1), ("101", "011", 1), ("110", "100", 2))
+        for line in (
+            f"unique_j0 family=B d=2 D=3 v={v} w={w} i=2 1 [2]",
+            f"intersection_count family=B d=2 D=3 v={v} w={w} i=2 j=2 0 {count}",
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FORWARD_FAULT_RECORDS))
+def test_verify_reports_forward_faults_exactly(monkeypatch, fault):
+    import dataclasses
+
+    from layerscope.layers import LayerPolynomial
+    from layerscope.layers import intersection_report_eval as real_reports
+
+    zero = LayerPolynomial.from_mask(1, 0, 2)  # d - 2: 0 at d = 2
+
+    def broken(rep):
+        if fault == "zero_forward" and rep.forward_j is None:
+            return dataclasses.replace(rep, forward_j=rep.i, forward=zero)
+        if fault == "j0_below_i" and rep.i == 2 and rep.forward_j == 2 and rep.back is not None:
+            return dataclasses.replace(rep, forward_j=1)
+        return rep
+
+    def broken_reports(family, D, v, w, d2_rules):
+        return [broken(rep) for rep in real_reports(family, D, v, w, d2_rules)]
+
+    monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
+    summary = GridSummary()
+    verify_graph(GraphParams(B, 2, 3), summary)
+    verify_graph(GraphParams(K, 2, 3), summary)
+    assert (summary.checks, _records(summary)) == (797, FORWARD_FAULT_RECORDS[fault])
+
+
 @pytest.mark.parametrize("quantity", ["distance", "intersection_count", "unique_j0", "p_t"])
 def test_verify_reports_injected_faults_exactly(monkeypatch, quantity):
     _inject(monkeypatch, quantity)
     summary = GridSummary()
     verify_graph(GraphParams(B, 2, 3), summary)
     verify_graph(GraphParams(K, 2, 3), summary)
-    records = [
-        " ".join([m.quantity, *(f"{k}={v}" for k, v in m.context.items()), m.formula_value, m.oracle_value])
-        for m in summary.mismatches
-    ]
+    records = _records(summary)
     expected_checks, expected_records = FAULT_RECORDS[quantity]
     assert (summary.checks, records) == (expected_checks, expected_records)
