@@ -15,7 +15,6 @@ from .errors import (
     LengthMismatch,
     NotASuccessor,
     PoleAtValue,
-    SameVertex,
     SymbolOutOfRange,
     TooLarge,
     VertexNotInGraph,
@@ -29,8 +28,6 @@ from .graphs import (
     build_explicit,
     distance,
     format_vertex,
-    parse_vertex,
-    shortest_path,
     successors,
     validate_vertex,
 )
@@ -38,8 +35,6 @@ from .layers import (
     IntersectionCase,
     IntersectionReport,
     LayerPolynomial,
-    gamma_plus,
-    gamma_star,
     intersection_nonempty,
     intersection_report,
     layer_star_poly,
@@ -47,17 +42,14 @@ from .layers import (
 )
 from .polynomials import IntPolynomial, RationalFunction
 from .probabilities import (
-    AsymptoticProbe,
     DeflectionChain,
     ProbabilityTable,
-    asymptotic_check,
     build_chain,
     expected_hops,
     hitting_times,
     input_table,
     mean_distance,
     p_in,
-    p_in_conditional,
     p_in_value,
     p_t,
     p_t_conditional,
@@ -69,8 +61,6 @@ from .vertex_classes import (
     VertexClass,
     canonical_pattern,
     enumerate_classes,
-    n_s_counts,
-    representative,
 )
 
 __version__ = "0.1.0"

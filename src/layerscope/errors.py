@@ -17,10 +17,6 @@ class KautzRepeat(LayerscopeError):
     """Two consecutive symbols of a Kautz vertex are equal."""
 
 
-class SameVertex(LayerscopeError):
-    """Operation requires two distinct vertices."""
-
-
 class TooLarge(LayerscopeError):
     """A computation exceeds a resource cap (n^2 distance bytes, vertex classes or walk hops)."""
 

@@ -22,7 +22,6 @@ from typing import Iterator, List, Tuple
 from .errors import (
     KautzRepeat,
     LengthMismatch,
-    SameVertex,
     SymbolOutOfRange,
     TooLarge,
     VertexNotInGraph,
@@ -173,21 +172,6 @@ def landing_row(params: GraphParams, z: Vertex) -> bytes:
     return b"".join(reversed(blocks))  # r = 1 .. D
 
 
-def shortest_path(params: GraphParams, v: Vertex, z: Vertex) -> List[Vertex]:
-    """The unique shortest path v, u_1, ..., u_{k-1}, z between distinct vertices.
-
-    Intermediate vertices are u_i = v_{i+1} ... v_k z_1 ... z_{D-k+i}.
-    """
-    if v == z:
-        raise SameVertex("shortest_path requires two distinct vertices")
-    k = distance(params, v, z)
-    path = [v]
-    for i in range(1, k):
-        path.append(v[i:k] + z[: params.D - k + i])
-    path.append(z)
-    return path
-
-
 @dataclass(frozen=True, eq=False)
 class ExplicitDigraph:
     """Materialized vertex and adjacency lists for one concrete (d, D).
@@ -267,7 +251,3 @@ def split_symbols(text: str) -> List[int]:
         return [int(part) for part in text.split(".")]
     return [int(ch) for ch in text]
 
-
-def parse_vertex(params: GraphParams, text: str) -> Vertex:
-    """Inverse of format_vertex, with full validation."""
-    return validate_vertex(params, split_symbols(text))

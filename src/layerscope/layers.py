@@ -32,42 +32,13 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotASuccessor
-from .graphs import Family, GraphParams, Vertex, is_successor, successors
+from .graphs import Family, GraphParams, Vertex, is_successor
 from .polynomials import IntPolynomial
 
 
 # ---------------------------------------------------------------------------
-# walk-set predicates (subsequence tests)
+# suffix periods
 # ---------------------------------------------------------------------------
-
-
-def _check_range(D: int, k: int, i: int) -> None:
-    if not (0 <= k <= i <= D):
-        raise IndexOutOfRange(f"need 0 <= k <= i <= D, got k={k}, i={i}, D={D}")
-
-
-def walk_set_contains(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int) -> bool:
-    """S_k(v) subseteq S_i(v2) for 0 <= k <= i <= D."""
-    _check_range(D, k, i)
-    if i < D:
-        return v[k : k + (D - i)] == v2[i:]
-    if family is Family.DEBRUIJN:
-        return True  # S_D(v2) is the whole vertex set
-    if k < D:
-        return v[k] != v2[D - 1]
-    return v[D - 1] == v2[D - 1]
-
-
-def walk_sets_meet(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int) -> bool:
-    """S_k(v) cap S_i(v2) != empty for 0 <= k <= i <= D.
-
-    Below the diameter the two sets are nested or disjoint, so this coincides
-    with containment; at i = D it only relaxes the k = D Kautz case.
-    """
-    _check_range(D, k, i)
-    if i == D and family is Family.KAUTZ and k == D:
-        return True  # alphabet has d + 1 >= 3 symbols
-    return walk_set_contains(family, D, v, k, v2, i)
 
 
 def suffix_periods(v: Vertex) -> List[int]:
@@ -88,13 +59,6 @@ def suffix_periods(v: Vertex) -> List[int]:
             b += 1
         border[m + 1] = b
     return [D - k - border[D - k] for k in range(D)]
-
-
-def sublayer_nonempty(family: Family, D: int, v: Vertex, k: int, i: int) -> bool:
-    """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
-    disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
-    _check_range(D, k, i)
-    return k == i or bool(layer_masks(family, D, suffix_periods(v))[i] >> k & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,34 +130,6 @@ def layer_poly_eval(family: Family, D: int, v: Vertex, i: int) -> LayerPolynomia
 
 
 # ---------------------------------------------------------------------------
-# neighbor sets Gamma+
-# ---------------------------------------------------------------------------
-
-
-def gamma_plus(params: GraphParams, v: Vertex, i: int, j: int) -> List[Vertex]:
-    """Successors w of v with S_i(v) cap S_j(w) nonempty.
-
-    For j < D the set is empty or the single vertex v_2 .. v_D v_{i+(D-j)};
-    for j = D it is all d successors, or the d - 1 with w_D != v_{i+1} in the
-    Kautz case with v_{i+1} != v_D.
-    """
-    if not (0 <= i <= j <= params.D):
-        raise IndexOutOfRange(f"need 0 <= i <= j <= D, got i={i}, j={j}")
-    return [
-        w
-        for w in successors(params, v)
-        if walk_sets_meet(params.family, params.D, v, i, w, j)
-    ]
-
-
-def gamma_star(params: GraphParams, v: Vertex, i: int, j: int) -> List[Vertex]:
-    """Successors w of v with S_i*(v) cap S_j*(w) nonempty (the deflection targets)."""
-    if not 1 <= i <= j <= params.D:
-        raise IndexOutOfRange(f"need 1 <= i <= j <= D, got i={i}, j={j}")
-    return [w for w in gamma_plus(params, v, i, j) if intersection_nonempty(params, v, w, i, j)]
-
-
-# ---------------------------------------------------------------------------
 # intersection emptiness and the unique forward index
 # ---------------------------------------------------------------------------
 
@@ -249,14 +185,6 @@ class IntersectionReport:
     back: Optional[LayerPolynomial]
     forward_j: Optional[int]
     forward: Optional[LayerPolynomial]
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case.value,
-            "j0": self.forward_j,
-            "back": self.back.to_json() if self.back is not None else None,
-            "forward": self.forward.to_json() if self.forward is not None else None,
-        }
 
 
 def forward_rule(

@@ -18,14 +18,7 @@ from operator import or_
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ChainDiverges
-from .graphs import (
-    APSP_CAP,
-    ExplicitDigraph,
-    Family,
-    GraphParams,
-    build_explicit,
-    format_vertex,
-)
+from .graphs import ExplicitDigraph, Family, GraphParams, build_explicit, format_vertex
 
 _UNREACHED = bytes.maketrans(b"01", b"\x01\x00")  # a reach-set bit as 1 byte where not reached
 

@@ -55,11 +55,6 @@ class IntPolynomial:
     def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
         return cls((0,) * power + (coeff,))
 
-    @classmethod
-    def variable(cls) -> "IntPolynomial":
-        """The polynomial d."""
-        return cls((0, 1))
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -118,16 +113,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        result = IntPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, x) :
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -327,16 +312,8 @@ class RationalFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_poly(cls, p: IntPolynomial) -> "RationalFunction":
-        return cls(p, IntPolynomial.one())
-
-    @classmethod
     def from_int(cls, n: int) -> "RationalFunction":
         return cls(IntPolynomial.constant(n), IntPolynomial.one())
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RationalFunction":
-        return cls(IntPolynomial.constant(q.numerator), IntPolynomial.constant(q.denominator))
 
     @classmethod
     def zero(cls) -> "RationalFunction":

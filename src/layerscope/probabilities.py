@@ -95,14 +95,6 @@ def p_in_value(family: Family, d: int, D: int, i: int) -> Fraction:
     return Fraction(pairs, n * (n - 1))
 
 
-def p_in_conditional(family: Family, D: int, c: VertexClass, i: int) -> RationalFunction:
-    """P_in(i | v in class c): the layer polynomial over |V| - 1."""
-    if not 1 <= i <= D:
-        raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
-    layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
-    return RationalFunction(layer, vertex_count_poly(family, D) - IntPolynomial.one())
-
-
 @functools.lru_cache(maxsize=None)
 def mean_distance(family: Family, D: int) -> RationalFunction:
     """Sum of i * P_in(i), the exact mean distance over ordered pairs."""
@@ -199,8 +191,6 @@ def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
-    if d < 2:
-        raise ValueError(f"degree d must be >= 2, got {d}")
     total = Fraction(0)
     for layer, num in _transition_sums(family, D, d)[i].get(j, {}).items():
         total += Fraction(num.evaluate(d), layer.evaluate(d))
@@ -244,19 +234,6 @@ class ProbabilityTable:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        keyed = {
-            (str(k) if isinstance(k, int) else f"{k[0]},{k[1]}"): v.to_json()
-            for k, v in self.entries.items()
-        }
-        return {
-            "family": str(self.family),
-            "D": self.D,
-            "kind": self.kind,
-            "regime": "all-d" if self.kind == "input" else "d>=3",
-            "entries": keyed,
-        }
-
 
 def input_table(family: Family, D: int) -> ProbabilityTable:
     entries = {i: p_in(family, D, i) for i in range(1, D + 1)}
@@ -270,45 +247,6 @@ def transition_table(family: Family, D: int) -> ProbabilityTable:
         for j in range(i, D + 1)
     }
     return ProbabilityTable(family, D, "transition", entries)
-
-
-# ---------------------------------------------------------------------------
-# asymptotics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AsymptoticProbe:
-    """Large-degree behavior of the probabilities at one probe degree.
-
-    pin_scaled = P_in(i) * d^(D-i) tends to 1; pt_to_diameter = P_t(i, D)
-    tends to 1; max_pt_intermediate bounds P_t(i, j), j < D, by 1/d.
-    """
-
-    family: Family
-    D: int
-    i: int
-    d_probe: int
-    pin_scaled: Fraction
-    pt_to_diameter: Fraction
-    max_pt_intermediate: Optional[Fraction]
-
-
-def asymptotic_check(family: Family, D: int, i: int, d_probe: int) -> AsymptoticProbe:
-    if d_probe < 2:
-        raise InvalidRange(f"probe degree must be >= 2, got {d_probe}")
-    pin_scaled = p_in(family, D, i).evaluate(d_probe) * d_probe ** (D - i)
-    pt_diam = p_t_value(family, d_probe, D, i, D)
-    intermediates = [p_t_value(family, d_probe, D, i, j) for j in range(i, D)]
-    return AsymptoticProbe(
-        family=family,
-        D=D,
-        i=i,
-        d_probe=d_probe,
-        pin_scaled=pin_scaled,
-        pt_to_diameter=pt_diam,
-        max_pt_intermediate=max(intermediates) if intermediates else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +294,17 @@ def expected_hops(
 ) -> Fraction:
     """Exact expected number of hops to absorption from a start distribution.
 
-    start maps distances 1 .. D to probabilities summing to 1 (default: the
-    input probabilities at the chain's degree). Raises ChainDiverges at
-    deflection probability 1, where state D becomes absorbing.
+    start maps distances 1 .. D to nonnegative probabilities summing to 1
+    (default: the input probabilities at the chain's degree), else InvalidRange.
+    Raises ChainDiverges at deflection probability 1, where state D becomes
+    absorbing.
     """
     hops = hitting_times(chain)
     if start is None:
         start = chain.start_from_input_probabilities()
+    for i, w in start.items():
+        if i not in hops or Fraction(w) < 0:
+            raise InvalidRange(f"start distribution gives {w} to distance {i}; need weights >= 0 on 1 .. {chain.D}")
     total = sum(Fraction(w) for w in start.values())
     if total != 1:
         raise InvalidRange(f"start distribution sums to {total}, not 1")

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import AlphabetTooSmall, TooLarge
-from .graphs import Family, GraphParams, Vertex, alphabet_size
+from .errors import TooLarge
+from .graphs import Family, Vertex, alphabet_size
 from .polynomials import IntPolynomial
 
 Pattern = Tuple[int, ...]
@@ -66,9 +66,6 @@ class VertexClass:
         if self.s <= 10:
             return "".join(str(c) for c in self.pattern)
         return ".".join(str(c) for c in self.pattern)
-
-    def to_json(self) -> dict:
-        return {"pattern": self.label(), "s": self.s, "cardinality": self.cardinality.to_json()}
 
 
 def _patterns(family: Family, D: int, alphabet: int) -> List[Pattern]:
@@ -129,25 +126,8 @@ def _build_classes(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, 
     )
 
 
-def n_s_counts(family: Family, D: int) -> Dict[int, int]:
-    """Histogram: number of classes for each symbol count s."""
-    return dict(sorted(Counter(c.s for c in enumerate_classes(family, D)).items()))
-
-
-def classes_csv_rows(family: Family, D: int) -> List[List[str]]:
-    """Rows (pattern, s, cardinality polynomial) for CSV export."""
-    return [[c.label(), str(c.s), str(c.cardinality)] for c in enumerate_classes(family, D)]
-
-
-def representative(c: VertexClass, params: GraphParams) -> Vertex:
-    """The pattern read as a vertex over symbols 0 .. s-1."""
-    if c.s > params.alphabet_size:
-        raise AlphabetTooSmall(
-            f"pattern {c.label()} needs {c.s} symbols, alphabet has {params.alphabet_size}"
-        )
-    return c.pattern
-
-
 def classes_realizable(family: Family, D: int, d: int) -> List[VertexClass]:
-    """Classes with at least one vertex at concrete degree d, in a new list."""
+    """Classes with at least one vertex at concrete degree d >= 2, in a new list."""
+    if d < 2:
+        raise ValueError(f"degree d must be >= 2, got {d}")
     return list(enumerate_classes(family, D, alphabet_size(family, d)))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from layerscope.errors import (
     KautzRepeat,
     LengthMismatch,
-    SameVertex,
     SymbolOutOfRange,
     TooLarge,
     VertexNotInGraph,
@@ -21,8 +20,7 @@ from layerscope.graphs import (
     distance_row,
     format_vertex,
     landing_row,
-    parse_vertex,
-    shortest_path,
+    split_symbols,
     successors,
     validate_vertex,
 )
@@ -96,7 +94,7 @@ def test_distance_matches_bfs_everywhere(family, d, D):
 
 
 # `verify` checks distance_row against BFS; these keep the per-pair `distance`
-# (used by shortest_path and exported by the package) tied to it.
+# (exported by the package, and timed by name in bench/spans.py) tied to it.
 @pytest.mark.parametrize(
     "family,d,D",
     [(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in range(1, 6)] + [(B, 300, 1), (K, 300, 1)],
@@ -164,26 +162,6 @@ def test_landing_row_is_the_distance_after_each_deflection(family, d, D):
             assert land[(r - 1) * (d - 1) : r * (d - 1)] == bytes(landings)
 
 
-@pytest.mark.parametrize("family,d,D", [(B, 2, 4), (K, 2, 4), (K, 3, 3)])
-def test_shortest_path_well_formed(family, d, D):
-    params = GraphParams(family, d, D)
-    g = build_explicit(params)
-    for v in g.vertices:
-        for z in g.vertices:
-            if v == z:
-                continue
-            path = shortest_path(params, v, z)
-            assert path[0] == v and path[-1] == z
-            assert len(path) - 1 == distance(params, v, z)
-            for a, b in zip(path, path[1:]):
-                assert b in successors(params, a)
-
-
-def test_shortest_path_rejects_same_vertex():
-    with pytest.raises(SameVertex):
-        shortest_path(GraphParams(B, 2, 3), (0, 1, 0), (0, 1, 0))
-
-
 def test_build_explicit_counts_and_order():
     g = build_explicit(GraphParams(B, 2, 3))
     assert len(g.vertices) == 8
@@ -218,10 +196,10 @@ def test_index_of_rejects_a_vertex_not_in_the_graph():
 def test_vertex_serialization():
     k24 = GraphParams(K, 2, 4)
     assert format_vertex(k24, (0, 1, 0, 1)) == "0101"
-    assert parse_vertex(k24, "0101") == (0, 1, 0, 1)
+    assert validate_vertex(k24, split_symbols("0101")) == (0, 1, 0, 1)
     big = GraphParams(B, 11, 3)
     assert format_vertex(big, (0, 1, 10)) == "0.1.10"
-    assert parse_vertex(big, "0.1.10") == (0, 1, 10)
+    assert validate_vertex(big, split_symbols("0.1.10")) == (0, 1, 10)
 
 
 def test_family_serialization():

@@ -1,4 +1,4 @@
-"""Layer polynomials, sublayer predicates, Gamma sets, intersection reports."""
+"""Layer polynomials, sublayer bits, Gamma sets, intersection reports."""
 
 import functools
 import itertools
@@ -10,26 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscope.errors import IndexOutOfRange, NotASuccessor
-from layerscope.graphs import Family, GraphParams, bfs_distances, build_explicit, successors
+from layerscope.graphs import Family, GraphParams, Vertex, bfs_distances, build_explicit, successors
 from layerscope.layers import (
     IntersectionCase,
     LayerPolynomial,
-    _check_range,
     _constant_tail,
     back_intersection_empty,
-    gamma_plus,
-    gamma_star,
     intersection_nonempty,
     intersection_poly_at,
     intersection_report,
     intersection_report_eval,
     layer_poly_eval,
     layer_star_poly,
-    sublayer_nonempty,
     suffix_periods,
     unique_j0,
-    walk_set_contains,
-    walk_sets_meet,
 )
 from layerscope.oracle import DistanceTable
 from layerscope.polynomials import IntPolynomial
@@ -65,17 +59,26 @@ def test_s_contains_range_errors():
         walk_set_contains(B, 7, V_B7, 0, V_B7, 8)
 
 
+def _sublayers(family, D, v, i):
+    """The k <= i with S_k(v) a maximal sublayer of S_i(v): the sub-coefficients
+    of the layer polynomial at i, and k = i itself."""
+    layer = layer_poly_eval(family, D, v, i)
+    return [k for k in range(i) if layer.coefficient(k)] + [i]
+
+
 def test_sublayer_worked_examples():
     # S_{2,6}(v) is empty because S_2(v) sits inside S_4(v)
-    assert [k for k in range(7) if sublayer_nonempty(B, 7, V_B7, k, 6)] == [1, 4, 6]
-    assert [k for k in range(9) if sublayer_nonempty(K, 10, V_K10, k, 8)] == [0, 3, 6, 8]
+    assert _sublayers(B, 7, V_B7, 6) == [1, 4, 6]
+    assert _sublayers(K, 10, V_K10, 8) == [0, 3, 6, 8]
+    assert [k for k in range(7) if ref_sublayer_nonempty(B, 7, V_B7, k, 6)] == [1, 4, 6]
+    assert [k for k in range(9) if ref_sublayer_nonempty(K, 10, V_K10, k, 8)] == [0, 3, 6, 8]
 
 
 def test_sublayer_kautz_adjacent_always_empty():
     g = build_explicit(GraphParams(K, 2, 4))
     for v in g.vertices:
         for i in range(1, 5):
-            assert not sublayer_nonempty(K, 4, v, i - 1, i)
+            assert layer_poly_eval(K, 4, v, i).coefficient(i - 1) == 0
 
 
 def test_layer_star_poly_worked_examples():
@@ -136,49 +139,54 @@ def test_layer_polynomial_value_object():
     assert str(LayerPolynomial.from_mask(0, 0b1)) == "1"
 
 
+def _gamma_plus(params, v, i, j):
+    """Gamma+(v; i, j): the successors w of v with S_i(v) cap S_j(w) nonempty."""
+    return [w for w in successors(params, v) if walk_sets_meet(params.family, params.D, v, i, w, j)]
+
+
 def test_gamma_plus_unique_vertex_cases():
+    # for j < D, Gamma+ is empty or the single vertex v_2 .. v_D v_{i+(D-j)}
     k3_12 = GraphParams(K, 3, 12)
     v = (0, 1, 2) * 4
     w = (1, 2, 0) * 4
-    assert gamma_plus(k3_12, v, 4, 6) == [w]
+    assert _gamma_plus(k3_12, v, 4, 6) == [w]
     k24 = GraphParams(K, 2, 4)
-    assert gamma_plus(k24, (0, 1, 0, 1), 1, 2) == [(1, 0, 1, 0)]
+    assert _gamma_plus(k24, (0, 1, 0, 1), 1, 2) == [(1, 0, 1, 0)]
 
 
 def test_gamma_plus_at_diameter():
     b24 = GraphParams(B, 2, 4)
     v = (0, 1, 0, 0)
-    assert gamma_plus(b24, v, 2, 4) == successors(b24, v)
+    assert _gamma_plus(b24, v, 2, 4) == successors(b24, v)
     k34 = GraphParams(K, 3, 4)
     v = (0, 1, 2, 0)
     # v_{i+1} != v_D keeps d - 1 successors (w_D != v_{i+1})
-    got = gamma_plus(k34, v, 1, 4)
+    got = _gamma_plus(k34, v, 1, 4)
     assert len(got) == 2
     assert all(w[-1] != v[1] for w in got)
     # v_{i+1} = v_D keeps all d successors
-    assert len(gamma_plus(k34, v, 3, 4)) == 3
+    assert len(_gamma_plus(k34, v, 3, 4)) == 3
 
 
 def test_gamma_plus_empty_when_prefixes_mismatch():
     k24 = GraphParams(K, 2, 4)
-    assert gamma_plus(k24, (0, 1, 0, 2), 1, 2) == []
+    assert _gamma_plus(k24, (0, 1, 0, 2), 1, 2) == []
 
 
 def test_gamma_star_filters_nonempty_star_intersections():
     # Gamma+ nonempty but the star intersection is empty: K(d,12), i=1, j=6
     k3_12 = GraphParams(K, 3, 12)
     v = (0, 1, 2) * 4
-    assert gamma_plus(k3_12, v, 1, 6) == [(1, 2, 0) * 4]
-    assert gamma_star(k3_12, v, 1, 6) == []
+    assert _gamma_plus(k3_12, v, 1, 6) == [(1, 2, 0) * 4]
+    assert intersection_nonempty(k3_12, v, (1, 2, 0) * 4, 1, 6) is False
 
 
 def test_gamma_star_rejects_indices_outside_range():
-    # on B(2,3), Gamma+(010) is empty for (i, j) = (0, 0) but not for (0, 1):
-    # both must raise, whatever the successors
+    # Gamma*(v; i, j) needs 1 <= i <= j <= D; its membership test raises outside that range
     b23 = GraphParams(B, 2, 3)
-    for i, j in [(0, 0), (0, 1), (2, 1), (1, 4)]:
+    for i, j in [(0, 0), (0, 1), (2, 0), (1, 4)]:
         with pytest.raises(IndexOutOfRange):
-            gamma_star(b23, (0, 1, 0), i, j)
+            intersection_nonempty(b23, (0, 1, 0), (1, 0, 1), i, j)
 
 
 def test_intersection_nonempty_d2_counterexamples():
@@ -331,6 +339,35 @@ def test_permutation_invariance():
 # ---------------------------------------------------------------------------
 
 
+def _check_range(D: int, k: int, i: int) -> None:
+    if not (0 <= k <= i <= D):
+        raise IndexOutOfRange(f"need 0 <= k <= i <= D, got k={k}, i={i}, D={D}")
+
+
+def walk_set_contains(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int) -> bool:
+    """S_k(v) subseteq S_i(v2) for 0 <= k <= i <= D."""
+    _check_range(D, k, i)
+    if i < D:
+        return v[k : k + (D - i)] == v2[i:]
+    if family is Family.DEBRUIJN:
+        return True  # S_D(v2) is the whole vertex set
+    if k < D:
+        return v[k] != v2[D - 1]
+    return v[D - 1] == v2[D - 1]
+
+
+def walk_sets_meet(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int) -> bool:
+    """S_k(v) cap S_i(v2) != empty for 0 <= k <= i <= D.
+
+    Below the diameter the two sets are nested or disjoint, so this coincides
+    with containment; at i = D it only relaxes the k = D Kautz case.
+    """
+    _check_range(D, k, i)
+    if i == D and family is Family.KAUTZ and k == D:
+        return True  # alphabet has d + 1 >= 3 symbols
+    return walk_set_contains(family, D, v, k, v2, i)
+
+
 def ref_sublayer_nonempty(family, D, v, k, i):
     """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
     disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
@@ -411,7 +448,6 @@ def test_period_rules_match_reference_loops_on_every_class(family):
                 ref = [ref_sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)]
                 layer = layer_poly_eval(family, D, v, i)
                 assert [layer.coefficient(k) for k in range(i)] == [int(bit) for bit in ref[:i]]
-                assert [sublayer_nonempty(family, D, v, k, i) for k in range(i + 1)] == ref
             for w in _archetypes(family, v):
                 for d2_rules in (False, True):
                     for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules), 1):
@@ -466,8 +502,8 @@ def _arcs(draw):
 def test_period_rules_match_reference_loops_on_random_arcs(arc):
     family, D, v, w, i, d2_rules = arc
     for word in (v, w):
-        assert [sublayer_nonempty(family, D, word, k, i) for k in range(i)] == [
-            ref_sublayer_nonempty(family, D, word, k, i) for k in range(i)
+        assert [layer_poly_eval(family, D, word, i).coefficient(k) for k in range(i)] == [
+            int(ref_sublayer_nonempty(family, D, word, k, i)) for k in range(i)
         ]
     report = intersection_report_eval(family, D, v, w, d2_rules)[i - 1]
     assert report.forward_j == ref_unique_j0_eval(family, D, v, w, i, d2_rules)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscope.errors import TooLarge
-from layerscope.graphs import ExplicitDigraph, Family, GraphParams, bfs_distances, build_explicit
+from layerscope.graphs import APSP_CAP, ExplicitDigraph, Family, GraphParams, bfs_distances, build_explicit
 from layerscope.oracle import (
-    APSP_CAP,
     DistanceTable,
     GridSummary,
     oracle_class_counts,

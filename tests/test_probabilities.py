@@ -1,4 +1,4 @@
-"""Input and transition probabilities, mean distance, asymptotics, distance chain.
+"""Input and transition probabilities, mean distance, large degrees, distance chain.
 
 The transition probability implemented here is the exact law of the deflection
 process (destination uniform on the distance-i layer, deflected link uniform
@@ -20,14 +20,12 @@ from layerscope.oracle import DistanceTable, oracle_transition_table
 from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
 from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
-    asymptotic_check,
     build_chain,
     expected_hops,
     hitting_times,
     input_table,
     mean_distance,
     p_in,
-    p_in_conditional,
     p_in_value,
     p_t,
     p_t_conditional,
@@ -69,17 +67,6 @@ def test_concrete_sums_past_the_bell_cap_match_distance_rows():
     assert {key: p_t_value(B, 2, 12, *key) for key in oracle} == oracle
 
 
-def test_p_in_conditional_examples():
-    c = _class(K, 10, (0, 1, 2, 0, 1, 2, 0, 1, 0, 1))
-    got = p_in_conditional(K, 10, c, 8)
-    assert got.format() == "(d^8 - d^6 - d^3 - 1) / (d^10 + d^9 - 1)"
-    c = _class(K, 4, (0, 1, 0, 1))
-    assert p_in_conditional(K, 4, c, 2).format() == "(d^2 - 1) / (d^4 + d^3 - 1)"
-    # all-zero coefficients give d^i over |V| - 1
-    c = _class(K, 4, (0, 1, 0, 2))
-    assert p_in_conditional(K, 4, c, 3).format() == "d^3 / (d^4 + d^3 - 1)"
-
-
 def test_p_in_kautz_4_table():
     assert p_in(K, 4, 1).format() == "d / (d^4 + d^3 - 1)"
     assert p_in(K, 4, 2).format() == "(d^4 - 1) / (d^6 + d^5 - d^2)"
@@ -100,14 +87,16 @@ def test_p_in_rows_sum_to_one_symbolically(family, D):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_p_in_value_matches_symbolic_and_class_by_class(family, d):
     # p_in and p_in_value sum class sizes per layer polynomial; the plain
-    # definition adds one conditional probability per realizable class.
+    # definition adds one conditional probability per realizable class,
+    # P_in(i | c) = |S_i*(c)| / (n - 1).
     for D in range(1, 7):
         classes = classes_realizable(family, D, d)
         total = vertex_count_poly(family, D).evaluate(d)
         for i in range(1, D + 1):
             acc = Fraction(0)
             for c in classes:
-                acc += c.cardinality.evaluate(d) * p_in_conditional(family, D, c, i).evaluate(d)
+                layer = layer_poly_eval(family, D, c.pattern, i).evaluate(d)
+                acc += c.cardinality.evaluate(d) * Fraction(layer, total - 1)
             value = p_in_value(family, d, D, i)
             assert value == acc / total == p_in(family, D, i).evaluate(d), (D, i)
 
@@ -329,12 +318,12 @@ def test_p_t_grouped_sum_matches_class_by_class_sum(family):
     # plain definition adds one canonical rational function per class.
     for D in range(1, 6):
         classes = enumerate_classes(family, D)
-        total = RationalFunction.from_poly(vertex_count_poly(family, D))
+        total = RationalFunction(vertex_count_poly(family, D), IntPolynomial.one())
         for i in range(1, D + 1):
             for j in range(i, D + 1):
                 acc = RationalFunction.zero()
                 for c in classes:
-                    weight = RationalFunction.from_poly(c.cardinality)
+                    weight = RationalFunction(c.cardinality, IntPolynomial.one())
                     acc = acc + weight * p_t_conditional(family, D, c, i, j)
                 assert p_t(family, D, i, j) == acc / total, (D, i, j)
 
@@ -423,11 +412,19 @@ def test_p_t_regime_handling():
         p_t_value(B, 1, 3, 1, 2)
 
 
+@pytest.mark.parametrize("family", [B, K])
+def test_concrete_values_reject_degree_below_two(family):
+    # the class kernel's one concrete entry point guards d >= 2 for every caller
+    with pytest.raises(ValueError, match="degree d must be >= 2, got 1"):
+        p_in_value(family, 1, 3, 1)
+    with pytest.raises(ValueError, match="degree d must be >= 2, got 1"):
+        p_t_value(family, 1, 3, 1, 2)
+
+
 def test_transition_table_normalized():
     table = transition_table(K, 4)
     assert table.check_normalized()
-    data = table.to_json()
-    assert data["entries"]["1,2"] == {"num": [1], "den": [0, 0, 1]}
+    assert str(table.entries[(1, 2)]) == "1 / d^2"
 
 
 def test_transition_table_normalized_at_b8():
@@ -436,7 +433,7 @@ def test_transition_table_normalized_at_b8():
 
 
 # ---------------------------------------------------------------------------
-# mean distance and asymptotics
+# mean distance and large degrees
 # ---------------------------------------------------------------------------
 
 
@@ -461,17 +458,14 @@ def test_mean_distance_matches_all_pairs_bfs(family, d, D):
 
 
 def test_asymptotic_probe():
-    probe = asymptotic_check(K, 4, 4, 1000)
-    assert Fraction(99, 100) < probe.pin_scaled < 1
-    probe = asymptotic_check(K, 4, 1, 1000)
-    assert Fraction(99, 100) < probe.pin_scaled < 1
-    assert probe.pt_to_diameter > Fraction(99, 100)
-    assert probe.max_pt_intermediate < Fraction(2, 1000)
+    # at d = 1000: P_in(i) d^(D-i) tends to 1, P_t(i, D) to 1, P_t(i, j < D) to 0
+    d = 1000
+    for i in (1, 4):
+        assert Fraction(99, 100) < p_in(K, 4, i).evaluate(d) * d ** (4 - i) < 1
+    assert p_t_value(K, d, 4, 1, 4) > Fraction(99, 100)
+    assert max(p_t_value(K, d, 4, 1, j) for j in range(1, 4)) < Fraction(2, d)
     # P_t(D, D) = 1 at any degree
-    assert p_t_value(K, 3, 4, 4, 4) == 1
-    assert asymptotic_check(K, 4, 4, 7).pt_to_diameter == 1
-    with pytest.raises(InvalidRange):
-        asymptotic_check(K, 4, 1, 1)
+    assert p_t_value(K, 3, 4, 4, 4) == p_t_value(K, 7, 4, 4, 4) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +506,14 @@ def test_chain_start_distribution_validation():
         expected_hops(chain, {1: Fraction(1, 2)})
     with pytest.raises(InvalidRange):
         build_chain(K, 3, 4, Fraction(3, 2))
+
+
+def test_chain_start_distribution_needs_nonnegative_weights_on_1_to_D():
+    chain = build_chain(B, 2, 3, Fraction(1, 10))
+    # a key outside 1 .. D, at either end, and negative weights summing to 1
+    for start in ({0: 1}, {4: 1}, {1: 2, 2: -1}):
+        with pytest.raises(InvalidRange, match="need weights >= 0 on 1 .. 3"):
+            expected_hops(chain, start)
 
 
 def test_diameter_one_families_end_to_end():

@@ -1,21 +1,21 @@
 """Vertex classes under alphabet permutation: patterns, counts, cardinalities."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from layerscope.errors import AlphabetTooSmall, TooLarge
+from layerscope.errors import TooLarge
 from layerscope.graphs import Family, GraphParams, build_explicit, vertex_count_poly
 from layerscope.polynomials import IntPolynomial
 from layerscope.vertex_classes import (
     CLASS_CAP,
+    VertexClass,
     canonical_pattern,
     class_cardinality_poly,
     class_count,
     classes_realizable,
     enumerate_classes,
-    n_s_counts,
-    representative,
 )
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
@@ -58,12 +58,17 @@ def test_enumerate_classes_debruijn_2():
     assert [c.pattern for c in enumerate_classes(B, 2)] == [(0, 0), (0, 1)]
 
 
+def _n_s_counts(family, D):
+    """The number of classes with s distinct symbols, for each s."""
+    return Counter(c.s for c in enumerate_classes(family, D))
+
+
 def test_n_s_counts():
-    assert n_s_counts(K, 4) == {2: 1, 3: 3, 4: 1}
-    assert n_s_counts(B, 4) == {1: 1, 2: 7, 3: 6, 4: 1}
-    assert n_s_counts(B, 1) == {1: 1}
+    assert _n_s_counts(K, 4) == {2: 1, 3: 3, 4: 1}
+    assert _n_s_counts(B, 4) == {1: 1, 2: 7, 3: 6, 4: 1}
+    assert _n_s_counts(B, 1) == {1: 1}
     # Kautz with D = 1 degenerates to single-symbol words
-    assert n_s_counts(K, 1) == {1: 1}
+    assert _n_s_counts(K, 1) == {1: 1}
 
 
 def test_class_count_independent_of_degree():
@@ -96,24 +101,14 @@ def test_cardinalities_match_explicit_grouping(family, d, D):
     assert set(observed) <= {c.pattern for c in enumerate_classes(family, D)}
 
 
-def test_representative():
-    k24 = GraphParams(K, 2, 4)
-    classes = {c.pattern: c for c in enumerate_classes(K, 4)}
-    assert representative(classes[(0, 1, 0, 1)], k24) == (0, 1, 0, 1)
-    with pytest.raises(AlphabetTooSmall):
-        representative(classes[(0, 1, 2, 3)], k24)
-    assert representative(classes[(0, 1, 0, 2)], GraphParams(K, 3, 4)) == (0, 1, 0, 2)
-
-
 def test_class_export_shapes():
-    from layerscope.vertex_classes import classes_csv_rows
-
+    # the pattern label names a class in verify's mismatch records
     classes = enumerate_classes(K, 4)
-    data = classes[0].to_json()
-    assert data == {"pattern": "0101", "s": 2, "cardinality": [0, 1, 1]}
-    rows = classes_csv_rows(K, 4)
-    assert rows[0] == ["0101", "2", "d^2 + d"]
-    assert len(rows) == 5
+    first = classes[0]
+    assert (first.label(), first.s, str(first.cardinality)) == ("0101", 2, "d^2 + d")
+    assert len(classes) == 5
+    wide = VertexClass(tuple(range(11)), B, class_cardinality_poly(B, 11))
+    assert wide.label() == "0.1.2.3.4.5.6.7.8.9.10"
 
 
 def test_cardinality_poly_shapes():
