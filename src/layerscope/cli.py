@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import AlphabetTooSmall, LayerscopeError, TooLarge
+from .errors import AlphabetTooSmall, InvalidRange, LayerscopeError, TooLarge
 from .graphs import Family, GraphParams, alphabet_size, build_explicit, split_symbols, validate_vertex
 from .layers import layer_poly_eval
 from .oracle import simulate_walk_hops, verify_grid
@@ -72,6 +72,7 @@ def _int_arg(rule: str, ok):
 _degree = _int_arg(">= 2", lambda v: v >= 2)
 _diameter = _int_arg(">= 1", lambda v: v >= 1)
 _packets = _int_arg("0 (off) or >= 2", lambda v: v == 0 or v >= 2)
+_seed = _int_arg(">= 0", lambda v: v >= 0)  # random.Random(-s) seeds as Random(s)
 
 
 def _fraction(text: str) -> Fraction:
@@ -187,6 +188,9 @@ def cmd_pin(args) -> int:
 def cmd_pt(args) -> int:
     family = Family.parse(args.family)
     D = args.D
+    for name, index in (("i", args.i), ("j", args.j)):
+        if index is not None and not 1 <= index <= D:
+            raise InvalidRange(f"need 1 <= {name} <= D, got {name}={index}, D={D}")
     pairs = [
         (i, j)
         for i in ([args.i] if args.i is not None else range(1, D + 1))
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--monte-carlo", type=_packets, default=0, metavar="N", help="cross-check with N packets (0: off)"
     )
-    sp.add_argument("--seed", type=int, default=0, help="random seed for the packet walk")
+    sp.add_argument("--seed", type=_seed, default=0, help="random seed for the packet walk")
     sp.set_defaults(func=cmd_markov)
 
     return parser

@@ -16,20 +16,21 @@ and otherwise the two are disjoint. The two key facts:
     i <= j < D, exactly when that word has period j + 1 - i.
 
 Every cardinality is d^i - sum a_k d^k with small a_k, held as a bit mask by
-``LayerPolynomial``. ``layer_poly_eval`` and ``intersection_report_eval`` do
-the work on (family, D), the latter for every i of one arc at once; its
-``d2_rules`` picks the d = 2 criteria (De Bruijn only) over the d >= 3 ones.
-``layer_star_poly`` and ``intersection_report`` take (params, ...), read the
-regime off params.d and check adjacency. Both
-spellings stay: ``bench/spans.py`` times each, and the acceptance tests import
-the params ones. Every other predicate here reads one of the four.
+``LayerPolynomial``. ``layer_poly_eval`` works on (family, D, v);
+``intersection_report_eval`` builds all D reports of one arc from both words'
+suffix periods and v's layer masks, which its caller computes once per vertex,
+and its ``d2_rules`` picks the d = 2 criteria (De Bruijn only) over the d >= 3
+ones. ``layer_star_poly`` and ``intersection_report`` take (params, ...), read
+the regime off params.d, check adjacency and compute those facts themselves.
+Both spellings stay: ``bench/spans.py`` times each, and the acceptance tests
+import the params ones. Every other predicate here reads one of the four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotASuccessor
 from .graphs import Family, GraphParams, Vertex, is_successor
@@ -66,12 +67,11 @@ def suffix_periods(v: Vertex) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayerPolynomial:
+class LayerPolynomial(NamedTuple):
     """d^top - sum of d^k over the set bits k of mask - lead * d^(top-1).
 
     ``from_mask`` drops the bits k >= top and folds bit top - 1 into lead (0, 1,
-    or 2 in a forward intersection), so equal polynomials give equal objects.
+    or 2 in a forward intersection), so equal polynomials give equal tuples.
     """
 
     top: int
@@ -134,17 +134,6 @@ def layer_poly_eval(family: Family, D: int, v: Vertex, i: int) -> LayerPolynomia
 # ---------------------------------------------------------------------------
 
 
-def _constant_tail(v: Vertex, i: int) -> bool:
-    """v_i = v_{i+1} = ... = v_D (1-based i)."""
-    return all(s == v[i - 1] for s in v[i:])
-
-
-def back_intersection_empty(family: Family, v: Vertex, w: Vertex, i: int) -> bool:
-    """S_i*(v) cap S_{i-1}*(w) = empty, which happens only for De Bruijn with
-    v_i = ... = v_D = w_D. Independent of the degree regime."""
-    return family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] == w[-1]
-
-
 def intersection_nonempty(params: GraphParams, v: Vertex, w: Vertex, i: int, j: int) -> bool:
     """S_i*(v) cap S_j*(w) != empty for w adjacent from v and i - 1 <= j <= D."""
     report = intersection_report(params, v, w, i)
@@ -169,7 +158,7 @@ class IntersectionCase(Enum):
     BACK_ONLY = "back-only"  # no forward j; back equals the layer (d = 2 De Bruijn only)
 
 
-@dataclass(frozen=True)
+@dataclass
 class IntersectionReport:
     """Cardinality polynomials of S_i*(v) cap S_j*(w) for one (v, w, i).
 
@@ -202,23 +191,23 @@ def forward_rule(
 
 
 def intersection_report_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, d2_rules: bool
+    family: Family, D: int, v: Vertex, w: Vertex, pi_v: List[int], pi_w: List[int], masks: List[int], d2_rules: bool
 ) -> List[IntersectionReport]:
-    """The reports for i = 1 .. D (index i - 1) for w adjacent from v; d2_rules selects
-    the d = 2 criteria (extra De Bruijn emptiness cases), False the d >= 3 criteria."""
-    pi_v, pi_w = suffix_periods(v), suffix_periods(w)
-    masks = layer_masks(family, D, pi_v)
+    """The reports for i = 1 .. D (index i - 1) for w adjacent from v, from the suffix periods
+    pi_v, pi_w of v, w and v's layer masks; d2_rules selects the d = 2 criteria, else d >= 3.
+    Where v_i = ... = v_D, exactly for i >= tail (De Bruijn only), S_i*(v) cap S_{i-1}*(w) is
+    empty if v_D = w_D, at any degree; else at d = 2 there is no forward j at all."""
     same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
+    tail = pi_v.index(1) + 1 if family is Family.DEBRUIJN else D + 1
     reports = []
     for i, a in enumerate(masks[1:], 1):
         j0, m, t = forward_rule(family, D, i, a, same, pi_v, pi_w)
         forward = LayerPolynomial.from_mask(i, m, t)
-        if back_intersection_empty(family, v, w, i):
+        if i >= tail and v[-1] == w[-1]:
             assert j0 == i, "empty back intersection forces a forward intersection at j = i"
             reports.append(IntersectionReport(v, w, i, IntersectionCase.FORWARD_ONLY, None, i, forward))
-        elif d2_rules and family is Family.DEBRUIJN and _constant_tail(v, i):
-            # no forward j at all at d = 2: v_i = ... = v_D != w_D; a_{i-1} = 1 lets
-            # the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
+        elif i >= tail and d2_rules:
+            # a_{i-1} = 1 lets the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
             back = LayerPolynomial.from_mask(i - 1, a)
             reports.append(IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None))
         else:
@@ -233,7 +222,9 @@ def intersection_report(params: GraphParams, v: Vertex, w: Vertex, i: int) -> In
         raise NotASuccessor(f"{w} is not adjacent from {v}")
     if not 1 <= i <= params.D:
         raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
-    return intersection_report_eval(params.family, params.D, v, w, d2_rules=params.d == 2)[i - 1]
+    family, D, pi_v = params.family, params.D, suffix_periods(v)
+    masks = layer_masks(family, D, pi_v)
+    return intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, params.d == 2)[i - 1]
 
 
 def intersection_poly_at(report: IntersectionReport, j: int) -> IntPolynomial:

@@ -271,7 +271,7 @@ class GridSummary:
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D)."""
     from . import probabilities as prob
-    from .layers import intersection_report_eval, layer_star_poly
+    from .layers import LayerPolynomial, intersection_report_eval, layer_masks, suffix_periods
     from .vertex_classes import enumerate_classes
 
     d, D = params.d, params.D
@@ -295,12 +295,14 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
                     ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
                     summary.mismatch("distance", ctx, formula[z_id], row[z_id])
 
-    # layer counts for every (v, i)
+    # layer counts for every (v, i), from each vertex's suffix periods and layer masks, computed once
+    periods = [suffix_periods(v) for v in g.vertices]
+    masks = [layer_masks(params.family, D, pi) for pi in periods]
     layer_counts = [table.layer_counts(v_id) for v_id in range(n)]
-    for v, counts in zip(g.vertices, layer_counts):
+    for v, counts, masks_v in zip(g.vertices, layer_counts, masks):
         summary.checks += D + 1
         for i in range(D + 1):
-            formula = layer_star_poly(params, v, i).evaluate(d)
+            formula = LayerPolynomial.from_mask(i, masks_v[i]).evaluate(d)
             if formula != counts[i]:
                 ctx = {**ctx_base, "v": format_vertex(params, v), "i": i}
                 summary.mismatch("layer_count", ctx, formula, counts[i])
@@ -315,10 +317,10 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
         for v_id, v in enumerate(g.vertices):
             landed: Counter = Counter()
             for w_id in g.succ[v_id]:
-                w = g.vertices[w_id]
+                w, pi_v, pi_w = g.vertices[w_id], periods[v_id], periods[w_id]
                 hist = table.arc_histogram(v_id, w_id)
                 landed.update(hist)
-                reports = intersection_report_eval(params.family, D, v, w, d == 2)
+                reports = intersection_report_eval(params.family, D, v, w, pi_v, pi_w, masks[v_id], d == 2)
                 summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
                 cells = {}  # the nonzero formula cells, and forward at j0 always (hist holds no zero)
                 for i, report in enumerate(reports, 1):

@@ -109,6 +109,23 @@ def test_pt_symbolic_and_tag(capsys):
     assert rc == 1  # --symbolic is not an option; symbolic is the default without -d
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-i", "9"), "need 1 <= i <= D, got i=9, D=3"),
+        (("-i", "0"), "need 1 <= i <= D, got i=0, D=3"),
+        (("-j", "4"), "need 1 <= j <= D, got j=4, D=3"),
+        (("-i", "1", "-j", "0"), "need 1 <= j <= D, got j=0, D=3"),
+    ],
+)
+def test_pt_rejects_indices_outside_1_to_D_by_name(capsys, argv, message):
+    # the error pin -i gives, naming only the indices passed
+    rc, out, err = run_cli(capsys, "pt", "-f", "B", "-D", "3", *argv)
+    rc_pin, _, err_pin = run_cli(capsys, "pin", "-f", "B", "-D", "3", "-i", "9")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert (rc_pin, err_pin) == (1, "error: need 1 <= i <= D, got i=9, D=3\n")
+
+
 def test_meandist_degenerate(capsys):
     rc, out, _ = run_cli(capsys, "meandist", "-f", "B", "-D", "1")
     assert rc == 0
@@ -305,6 +322,16 @@ def test_markov_rejects_negative_packets(capsys):
     )
     assert rc == 1
     assert "error:" in err and "--monte-carlo" in err
+
+
+def test_markov_rejects_negative_seed(capsys):
+    # random.Random(-3) seeds as Random(3), so a negative seed would repeat another's walk
+    argv = ("markov", "-f", "B", "-d", "2", "-D", "4", "-p", "1/10", "--monte-carlo", "1000")
+    rc, out, err = run_cli(capsys, *argv, "--seed", "-3")
+    assert rc == 1 and out == ""
+    assert "error: argument --seed: expected an integer >= 0, got '-3'" in err
+    rc, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert rc == 0 and "seed 0" in out
 
 
 def test_degree_below_two_rejected(capsys):

@@ -14,12 +14,11 @@ from layerscope.graphs import Family, GraphParams, Vertex, bfs_distances, build_
 from layerscope.layers import (
     IntersectionCase,
     LayerPolynomial,
-    _constant_tail,
-    back_intersection_empty,
     intersection_nonempty,
     intersection_poly_at,
     intersection_report,
     intersection_report_eval,
+    layer_masks,
     layer_poly_eval,
     layer_star_poly,
     suffix_periods,
@@ -368,6 +367,23 @@ def walk_sets_meet(family: Family, D: int, v: Vertex, k: int, v2: Vertex, i: int
     return walk_set_contains(family, D, v, k, v2, i)
 
 
+def _constant_tail(v: Vertex, i: int) -> bool:
+    """v_i = v_{i+1} = ... = v_D (1-based i)."""
+    return all(s == v[i - 1] for s in v[i:])
+
+
+def back_intersection_empty(family: Family, v: Vertex, w: Vertex, i: int) -> bool:
+    """S_i*(v) cap S_{i-1}*(w) = empty, which happens only for De Bruijn with
+    v_i = ... = v_D = w_D. Independent of the degree regime."""
+    return family is Family.DEBRUIJN and _constant_tail(v, i) and v[-1] == w[-1]
+
+
+def _reports(family, D, v, w, d2_rules):
+    """intersection_report_eval on one arc, with the periods and masks computed here."""
+    pi_v = suffix_periods(v)
+    return intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), layer_masks(family, D, pi_v), d2_rules)
+
+
 def ref_sublayer_nonempty(family, D, v, k, i):
     """Whether S_k(v) is a maximal sublayer of S_i(v): contained in S_i(v) but
     disjoint from every intermediate S_j(v), k < j < i. Always true for k = i."""
@@ -450,7 +466,7 @@ def test_period_rules_match_reference_loops_on_every_class(family):
                 assert [layer.coefficient(k) for k in range(i)] == [int(bit) for bit in ref[:i]]
             for w in _archetypes(family, v):
                 for d2_rules in (False, True):
-                    for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules), 1):
+                    for i, report in enumerate(_reports(family, D, v, w, d2_rules), 1):
                         got = [report.back is not None] + [j == report.forward_j for j in range(i, D + 1)]
                         ref = [
                             ref_intersection_nonempty_eval(family, D, v, w, i, j, d2_rules)
@@ -505,7 +521,7 @@ def test_period_rules_match_reference_loops_on_random_arcs(arc):
         assert [layer_poly_eval(family, D, word, i).coefficient(k) for k in range(i)] == [
             int(ref_sublayer_nonempty(family, D, word, k, i)) for k in range(i)
         ]
-    report = intersection_report_eval(family, D, v, w, d2_rules)[i - 1]
+    report = _reports(family, D, v, w, d2_rules)[i - 1]
     assert report.forward_j == ref_unique_j0_eval(family, D, v, w, i, d2_rules)
 
 
@@ -554,7 +570,7 @@ def test_intersection_report_is_its_entry_of_the_arc_list(params):
     for v_id, succ_v in enumerate(g.succ):
         v = g.vertices[v_id]
         for w in (g.vertices[w_id] for w_id in succ_v):
-            reports = intersection_report_eval(params.family, params.D, v, w, params.d == 2)
+            reports = _reports(params.family, params.D, v, w, params.d == 2)
             assert len(reports) == params.D
             for i in range(1, params.D + 1):
                 assert intersection_report(params, v, w, i) == reports[i - 1], (v, w, i)

@@ -185,18 +185,16 @@ def test_verify_beyond_default_grid():
 
 
 def test_verify_grid_detects_injected_fault(monkeypatch):
-    # sanity of the detector: corrupt one layer polynomial and expect mismatches
-    from layerscope.layers import layer_star_poly as real_layer
+    # sanity of the detector: corrupt one vertex's layer masks and expect mismatches
+    from layerscope.layers import layer_masks as real_masks
 
-    def broken(params, v, i):
-        poly = real_layer(params, v, i)
-        if i == 2 and poly.coefficient(0) == 0:
-            from layerscope.layers import LayerPolynomial
+    def broken(family, D, pi):
+        masks = real_masks(family, D, pi)
+        if not masks[2] & 1:
+            masks[2] = 1  # off-by-one a_0 at i = 2
+        return masks
 
-            return LayerPolynomial.from_mask(i, 1)  # off-by-one a_0
-        return poly
-
-    monkeypatch.setattr("layerscope.layers.layer_star_poly", broken)
+    monkeypatch.setattr("layerscope.layers.layer_masks", broken)
     summary = verify_grid(families=(B,), d_values=(2,), D_values=(3,))
     assert not summary.ok
     assert any(m.quantity == "layer_count" for m in summary.mismatches)
@@ -217,6 +215,25 @@ def test_verify_graph_builds_one_report_list_per_arc(monkeypatch):
     verify_graph(params, summary)
     assert summary.ok
     assert len(calls) == params.vertex_count * params.d
+
+
+def test_verify_graph_computes_suffix_periods_once_per_vertex(monkeypatch):
+    # the layer-count check and every out-arc's reports share one vector per vertex,
+    # rather than D + 1 for the layers and two per arc
+    from layerscope.layers import suffix_periods as real_periods
+
+    calls = Counter()
+
+    def counting(v):
+        calls[v] += 1
+        return real_periods(v)
+
+    monkeypatch.setattr("layerscope.layers.suffix_periods", counting)
+    params = GraphParams(B, 2, 6)
+    summary = GridSummary()
+    verify_graph(params, summary)
+    assert summary.ok
+    assert len(calls) == params.vertex_count and set(calls.values()) == {1}
 
 
 def test_verify_graph_builds_one_histogram_per_arc(monkeypatch):
@@ -286,8 +303,8 @@ def _inject(monkeypatch, quantity):
                 return dataclasses.replace(rep, forward_j=2)
             return rep
 
-        def broken_reports(family, D, v, w, d2_rules):
-            return [broken(rep) for rep in real_reports(family, D, v, w, d2_rules)]
+        def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):
+            return [broken(rep) for rep in real_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules)]
 
         monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
     else:
@@ -466,8 +483,8 @@ def test_verify_reports_forward_faults_exactly(monkeypatch, fault):
             return dataclasses.replace(rep, forward_j=1)
         return rep
 
-    def broken_reports(family, D, v, w, d2_rules):
-        return [broken(rep) for rep in real_reports(family, D, v, w, d2_rules)]
+    def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):
+        return [broken(rep) for rep in real_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules)]
 
     monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
     summary = GridSummary()

@@ -17,7 +17,13 @@ import pytest
 from layerscope.errors import ChainDiverges, InvalidRange
 from layerscope.graphs import Family, GraphParams, build_explicit, distance_row, vertex_count_poly
 from layerscope.oracle import DistanceTable, oracle_transition_table
-from layerscope.layers import intersection_poly_at, intersection_report_eval, layer_poly_eval
+from layerscope.layers import (
+    intersection_poly_at,
+    intersection_report_eval,
+    layer_masks,
+    layer_poly_eval,
+    suffix_periods,
+)
 from layerscope.polynomials import IntPolynomial, RationalFunction
 from layerscope.probabilities import (
     build_chain,
@@ -292,8 +298,11 @@ def _reference_transition_sums(family, D, d):
         if d is None or fresh.evaluate(d):
             archetypes.append((v[1:] + (s,), fresh))
         layers = [layer_poly_eval(family, D, v, i).to_poly() for i in range(D + 1)]
+        pi_v = suffix_periods(v)
+        masks = layer_masks(family, D, pi_v)
         for w, weight in archetypes:
-            for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules=False), 1):
+            reports = intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, d2_rules=False)
+            for i, report in enumerate(reports, 1):
                 by_layer = sums[i].setdefault(report.forward_j, {})
                 num = c.cardinality * weight * report.forward.to_poly()
                 by_layer[layers[i]] = by_layer.get(layers[i], IntPolynomial.zero()) + num
@@ -353,8 +362,11 @@ def _p_t_from_arc_reports(family, d, D):
         size = c.cardinality.evaluate(d)
         arcs = [v[1:] + (x,) for x in range(alphabet) if family is B or x != v[-1]]
         dens = [(d - 1) * layer_poly_eval(family, D, v, i).evaluate(d) for i in range(D + 1)]
+        pi_v = suffix_periods(v)
+        masks = layer_masks(family, D, pi_v)
         for w in arcs:
-            for i, report in enumerate(intersection_report_eval(family, D, v, w, d2_rules=d == 2), 1):
+            reports = intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, d2_rules=d == 2)
+            for i, report in enumerate(reports, 1):
                 for j in range(i, D + 1):
                     acc[(i, j)] += Fraction(size * intersection_poly_at(report, j).evaluate(d), dens[i])
     n = vertex_count_poly(family, D).evaluate(d)
