@@ -244,9 +244,10 @@ def cmd_meandist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    families = [Family.parse(f) for f in args.family] if args.family else list(Family)
-    d_values = args.d or [2, 3, 4]
-    D_values = args.D or [2, 3, 4, 5]
+    # a value repeated on the command line (-f B -f b included) is one graph, run once in first-seen order
+    families = list(dict.fromkeys(map(Family.parse, args.family))) if args.family else list(Family)
+    d_values = list(dict.fromkeys(args.d or [2, 3, 4]))
+    D_values = list(dict.fromkeys(args.D or [2, 3, 4, 5]))
     summary = verify_grid(families, d_values, D_values)
     for m in summary.mismatches:
         print(json.dumps(m.to_json(), sort_keys=True))

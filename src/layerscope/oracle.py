@@ -18,7 +18,7 @@ from operator import or_
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ChainDiverges
-from .graphs import ExplicitDigraph, Family, GraphParams, build_explicit, format_vertex
+from .graphs import ExplicitDigraph, Family, GraphParams, Vertex, build_explicit, format_vertex
 
 _UNREACHED = bytes.maketrans(b"01", b"\x01\x00")  # a reach-set bit as 1 byte where not reached
 
@@ -268,6 +268,14 @@ class GridSummary:
         return not self.mismatches
 
 
+def arc_report_key(v: Vertex, w: Vertex, pi_v: Tuple[int, ...], pi_w: Tuple[int, ...]) -> tuple:
+    """All that `layers.intersection_report_eval` reads of the arc v -> w, given the graph's family, D and d:
+    the suffix periods of v and w (v's layer masks and tail index follow from pi_v) and the bits p with
+    v[p] = w[-1] (bit D - 1 says whether v[-1] = w[-1]). Arcs with equal keys get equal reports up to v and w."""
+    x = w[-1]
+    return pi_v, pi_w, sum(1 << p for p, y in enumerate(v) if y == x)
+
+
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D)."""
     from . import probabilities as prob
@@ -295,42 +303,60 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
                     ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
                     summary.mismatch("distance", ctx, formula[z_id], row[z_id])
 
-    # layer counts for every (v, i), from each vertex's suffix periods and layer masks, computed once
+    # layer counts for every (v, i), from each vertex's suffix periods and layer masks, computed once;
+    # |S_i*(v)| depends on (i, mask) alone, so each distinct one is evaluated once
     periods = [suffix_periods(v) for v in g.vertices]
     masks = [layer_masks(params.family, D, pi) for pi in periods]
     layer_counts = [table.layer_counts(v_id) for v_id in range(n)]
+    layer_values: Dict[Tuple[int, int], int] = {}
     for v, counts, masks_v in zip(g.vertices, layer_counts, masks):
         summary.checks += D + 1
         for i in range(D + 1):
-            formula = LayerPolynomial.from_mask(i, masks_v[i]).evaluate(d)
+            if (formula := layer_values.get((i, masks_v[i]))) is None:
+                formula = layer_values[(i, masks_v[i])] = LayerPolynomial.from_mask(i, masks_v[i]).evaluate(d)
             if formula != counts[i]:
                 ctx = {**ctx_base, "v": format_vertex(params, v), "i": i}
                 summary.mismatch("layer_count", ctx, formula, counts[i])
 
-    # intersection counts and j0 for every arc and every (i, j); the arcs come
-    # from g.succ, so one report list per arc needs no adjacency check. An arc whose formula cells equal its
-    # histogram's cells at i >= 1 passes in one comparison; any other is explained cell by cell.
+    # intersection counts and j0 for every arc and every (i, j); the arcs come from g.succ, so their
+    # reports need no adjacency check. The formula cells depend on the arc only through its `arc_report_key`,
+    # so they are evaluated once per key; an arc whose histogram's cells at i >= 1 equal them passes in one
+    # comparison, any other is explained cell by cell from its own reports.
     def arc(v, w, **cell):
         return {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w), **cell}
+
+    def formula_cells(reports):  # the nonzero formula cells, and forward at j0 always (hist holds no zero)
+        cells = {}
+        for i, report in enumerate(reports, 1):
+            if report.back is not None and (back := report.back.evaluate(d)):
+                cells[(i, i - 1)] = back
+            j0 = report.forward_j
+            if j0 is not None:  # a j0 outside [i, D] fails its check: a key no histogram holds
+                cells[(i, j0) if i <= j0 <= D else ("j0", i)] = report.forward.evaluate(d)
+        return cells
+
+    def reports_of(v_id, w_id):
+        v, w = g.vertices[v_id], g.vertices[w_id]
+        return intersection_report_eval(params.family, D, v, w, periods[v_id], periods[w_id], masks[v_id], d == 2)
+
+    period_keys = [tuple(pi) for pi in periods]
+    cells_by_key: Dict[tuple, dict] = {}
 
     def checked_arcs():  # each vertex's out-arcs checked, then their summed histogram for the oracle P_t
         for v_id, v in enumerate(g.vertices):
             landed: Counter = Counter()
             for w_id in g.succ[v_id]:
-                w, pi_v, pi_w = g.vertices[w_id], periods[v_id], periods[w_id]
+                w = g.vertices[w_id]
                 hist = table.arc_histogram(v_id, w_id)
                 landed.update(hist)
-                reports = intersection_report_eval(params.family, D, v, w, pi_v, pi_w, masks[v_id], d == 2)
                 summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
-                cells = {}  # the nonzero formula cells, and forward at j0 always (hist holds no zero)
-                for i, report in enumerate(reports, 1):
-                    if report.back is not None and (back := report.back.evaluate(d)):
-                        cells[(i, i - 1)] = back
-                    j0 = report.forward_j
-                    if j0 is not None:  # a j0 outside [i, D] fails its check: a key no histogram holds
-                        cells[(i, j0) if i <= j0 <= D else ("j0", i)] = report.forward.evaluate(d)
+                key = arc_report_key(v, w, period_keys[v_id], period_keys[w_id])
+                if (cells := cells_by_key.get(key)) is None:
+                    cells = cells_by_key[key] = formula_cells(reports_of(v_id, w_id))
                 if cells == {(i, j): c for (i, j), c in hist.items() if i}:
                     continue
+                reports = reports_of(v_id, w_id)
+                cells = formula_cells(reports)
                 for i, report in enumerate(reports, 1):
                     j0 = report.forward_j
                     forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]

@@ -155,6 +155,15 @@ def test_verify_single_graph_ok(capsys):
     assert "match the oracle exactly" in out
 
 
+def test_verify_runs_repeated_grid_values_once(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "-f", "B", "-f", "b", "-d", "2", "-d", "2", "-D", "2")
+    assert rc == 0
+    assert "verified 93 checks over B(2,2)\n" in out
+    rc, out, _ = run_cli(capsys, "verify", "-f", "k", "-f", "B", "-f", "K", "-d", "3", "-d", "2", "-d", "3", "-D", "2")
+    assert rc == 0
+    assert "over K(3,2), K(2,2), B(3,2), B(2,2)\n" in out
+
+
 def test_pt_refuses_class_count_over_the_cap(capsys):
     # Bell(14) = 190,899,322 classes
     start = time.perf_counter()

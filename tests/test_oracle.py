@@ -12,6 +12,7 @@ from layerscope.graphs import APSP_CAP, ExplicitDigraph, Family, GraphParams, bf
 from layerscope.oracle import (
     DistanceTable,
     GridSummary,
+    arc_report_key,
     oracle_class_counts,
     oracle_mean_distance,
     oracle_transition_table,
@@ -21,6 +22,7 @@ from layerscope.oracle import (
 )
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
+DEFAULT_GRID = [GraphParams(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in (2, 3, 4, 5)]  # verify's default
 
 
 def _layer_counts(g, v):
@@ -114,7 +116,7 @@ def _bfs_rows(g):
 @pytest.mark.parametrize(
     "graph",
     [
-        *(GraphParams(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in (2, 3, 4, 5)),  # the default verify grid
+        *DEFAULT_GRID,
         GraphParams(B, 300, 1),
         # test_walk's strongly connected stand-in: vertex 0 reaches 3 through both successors
         ((1, 2), (3, 0), (3, 0), (0, 1)),
@@ -200,7 +202,8 @@ def test_verify_grid_detects_injected_fault(monkeypatch):
     assert any(m.quantity == "layer_count" for m in summary.mismatches)
 
 
-def test_verify_graph_builds_one_report_list_per_arc(monkeypatch):
+def test_verify_graph_builds_one_report_list_per_arc_key(monkeypatch):
+    # B(2,6) has 128 arcs but 64 distinct arc keys
     from layerscope.layers import intersection_report_eval as real_reports
 
     calls = []
@@ -214,7 +217,31 @@ def test_verify_graph_builds_one_report_list_per_arc(monkeypatch):
     summary = GridSummary()
     verify_graph(params, summary)
     assert summary.ok
-    assert len(calls) == params.vertex_count * params.d
+    assert len(calls) == 64 < params.vertex_count * params.d
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=str)
+def test_arcs_with_equal_keys_get_equal_reports(params):
+    # verify_graph evaluates the formula cells of one arc per arc_report_key: sound only if
+    # intersection_report_eval reads no more of v and w than the key holds
+    import dataclasses
+
+    from layerscope.layers import intersection_report_eval, layer_masks, suffix_periods
+
+    g = build_explicit(params)
+    periods = [suffix_periods(v) for v in g.vertices]
+    first = {}
+    for v_id, v in enumerate(g.vertices):
+        masks = layer_masks(params.family, params.D, periods[v_id])
+        for w_id in g.succ[v_id]:
+            w = g.vertices[w_id]
+            reports = intersection_report_eval(
+                params.family, params.D, v, w, periods[v_id], periods[w_id], masks, params.d == 2
+            )
+            fields = [dataclasses.replace(r, v=(), w=()) for r in reports]
+            key = arc_report_key(v, w, tuple(periods[v_id]), tuple(periods[w_id]))
+            assert first.setdefault(key, (v, w, fields))[2] == fields, (first[key][:2], (v, w))
+    assert len(first) < len(g.vertices) * params.d  # some arcs share a key, so the test compares them
 
 
 def test_verify_graph_computes_suffix_periods_once_per_vertex(monkeypatch):
