@@ -32,10 +32,11 @@ class DistanceTable:
     With two generations of sets that peaks at about n^2/3 bytes beyond the rows (5.5 MB at n = 4096).
 
     Every BFS quantity the oracle checks is read off these rows with whole-row
-    operations: layer sizes by `layer_counts`, arc intersections by
-    `arc_histogram`. The latter codes the pair (i, j) as the byte i*(D+1) + j,
-    read as whole-row integers: row v times D + 1 plus row w, which cannot
-    carry while D <= 15 (APSP_CAP admits no table beyond D = 14).
+    operations: layer sizes by `layer_counts`, arc intersections by counting
+    `arc_codes`, or as an `arc_histogram` of them. A code is the pair (i, j) as
+    the byte i*(D+1) + j, read as whole-row integers: row v times D + 1 plus
+    row w, which cannot carry while D <= 15 (APSP_CAP admits no table beyond
+    D = 14).
     """
 
     def __init__(self, g: ExplicitDigraph):
@@ -61,12 +62,16 @@ class DistanceTable:
         row = self.rows[src]
         return [row.count(i) for i in range(self.g.params.D + 1)]
 
+    def arc_codes(self, v_id: int, *w_ids: int) -> bytes:
+        """One n-byte block per given w, byte z of which codes (dist(v, z), dist(w, z)) as i*(D+1) + j."""
+        rows = self.rows
+        scaled = int.from_bytes(rows[v_id], "big") * (self.g.params.D + 1)
+        return b"".join((scaled + int.from_bytes(rows[w], "big")).to_bytes(len(rows), "big") for w in w_ids)
+
     def arc_histogram(self, v_id: int, *w_ids: int) -> Counter:
         """|S_i*(v) cap S_j*(w)| keyed by (i, j), summed over the given w; absent keys count 0."""
-        rows, width = self.rows, self.g.params.D + 1
-        scaled = int.from_bytes(rows[v_id], "big") * width
-        codes = b"".join((scaled + int.from_bytes(rows[w], "big")).to_bytes(len(rows), "big") for w in w_ids)
-        return Counter({divmod(c, width): count for c, count in Counter(codes).items()})
+        width = self.g.params.D + 1
+        return Counter({divmod(c, width): count for c, count in Counter(self.arc_codes(v_id, *w_ids)).items()})
 
 
 def oracle_mean_distance(g: ExplicitDigraph) -> Fraction:
@@ -89,7 +94,7 @@ def oracle_transition_table(g: ExplicitDigraph, table: Optional[DistanceTable] =
 
 
 def _transition_table(params: GraphParams, n: int, landed: Iterable) -> Dict[Tuple[int, int], Fraction]:
-    """P_t from (v_id, arc histogram summed over v's out-arcs, |S_i*(v)| for i = 0 .. D) per vertex v. Its
+    """P_t from (v_id, arc cells (i, j) summed over v's out-arcs, |S_i*(v)| for i = 0 .. D) per vertex v. Its
     landings at i - 1 must number |S_i*(v)|: one shortest-path successor per destination, else AssertionError."""
     D = params.D
     landings: Counter = Counter()  # (i, j, |S_i*(v)|): landings summed over v
@@ -276,15 +281,36 @@ def arc_report_key(v: Vertex, w: Vertex, pi_v: Tuple[int, ...], pi_w: Tuple[int,
     return pi_v, pi_w, sum(1 << p for p, y in enumerate(v) if y == x)
 
 
+def cell_codes(cells: dict, D: int, n: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """An arc's cells {(i, j): count} as (byte code i*(D+1) + j, count) pairs for `codes_hold`, or None where
+    counting codes cannot decide the arc: a key that is no (i, j) with 1 <= i <= D and 0 <= j <= D, a count
+    <= 0, or counts whose sum is not n - 1 (the z other than v, each at some distance i >= 1 from v)."""
+    if sum(cells.values()) != n - 1:
+        return None
+    codes = []
+    for (i, j), count in cells.items():
+        if i == "j0" or not (1 <= i <= D and 0 <= j <= D and count > 0):
+            return None
+        codes.append((i * (D + 1) + j, count))
+    return tuple(codes)
+
+
+def codes_hold(codes: bytes, v_id: int, D: int, expected: Tuple[Tuple[int, int], ...]) -> bool:
+    """Whether arc v -> w's n codes (`DistanceTable.arc_codes`) hold each (code, count) of `cell_codes` exactly
+    and byte v codes i = 0. The counts sum to n - 1, so that is every byte: the arc's histogram at i >= 1
+    equals its cells, without being built."""
+    return codes[v_id] <= D and all(codes.count(code) == count for code, count in expected)
+
+
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D)."""
     from . import probabilities as prob
     from .layers import LayerPolynomial, intersection_report_eval, layer_masks, suffix_periods
-    from .vertex_classes import enumerate_classes
+    from .vertex_classes import class_cardinality_poly, class_count, enumerate_classes
 
     d, D = params.d, params.D
     g = build_explicit(params)
-    enumerated = {c.pattern: c for c in enumerate_classes(params.family, D)}  # the class cap, before any BFS
+    realizable = enumerate_classes(params.family, D, params.alphabet_size)  # the class cap, before any BFS
     table = DistanceTable(g)
     n = len(g.vertices)
     ctx_base = {"family": str(params.family), "d": d, "D": D}
@@ -320,8 +346,8 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
 
     # intersection counts and j0 for every arc and every (i, j); the arcs come from g.succ, so their
     # reports need no adjacency check. The formula cells depend on the arc only through its `arc_report_key`,
-    # so they are evaluated once per key; an arc whose histogram's cells at i >= 1 equal them passes in one
-    # comparison, any other is explained cell by cell from its own reports.
+    # so they and their byte codes are evaluated once per key. An arc whose codes hold them passes and adds
+    # them to the oracle P_t; any other builds its histogram and is explained cell by cell from its own reports.
     def arc(v, w, **cell):
         return {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w), **cell}
 
@@ -340,21 +366,25 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
         return intersection_report_eval(params.family, D, v, w, periods[v_id], periods[w_id], masks[v_id], d == 2)
 
     period_keys = [tuple(pi) for pi in periods]
-    cells_by_key: Dict[tuple, dict] = {}
+    cells_by_key: Dict[tuple, tuple] = {}  # arc key -> (formula cells, their `cell_codes`)
 
-    def checked_arcs():  # each vertex's out-arcs checked, then their summed histogram for the oracle P_t
+    def checked_arcs():  # each vertex's out-arcs checked, then their summed cells for the oracle P_t
         for v_id, v in enumerate(g.vertices):
             landed: Counter = Counter()
-            for w_id in g.succ[v_id]:
+            codes = table.arc_codes(v_id, *g.succ[v_id])
+            for at, w_id in zip(range(0, len(codes), n), g.succ[v_id]):
                 w = g.vertices[w_id]
-                hist = table.arc_histogram(v_id, w_id)
-                landed.update(hist)
                 summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
                 key = arc_report_key(v, w, period_keys[v_id], period_keys[w_id])
-                if (cells := cells_by_key.get(key)) is None:
-                    cells = cells_by_key[key] = formula_cells(reports_of(v_id, w_id))
-                if cells == {(i, j): c for (i, j), c in hist.items() if i}:
+                if (entry := cells_by_key.get(key)) is None:
+                    cells = formula_cells(reports_of(v_id, w_id))
+                    entry = cells_by_key[key] = cells, cell_codes(cells, D, n)
+                cells, expected = entry
+                if expected is not None and codes_hold(codes[at : at + n], v_id, D, expected):
+                    landed.update(cells)
                     continue
+                hist = table.arc_histogram(v_id, w_id)
+                landed.update(hist)
                 reports = reports_of(v_id, w_id)
                 cells = formula_cells(reports)
                 for i, report in enumerate(reports, 1):
@@ -369,14 +399,21 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
 
     oracle_pt = _transition_table(params, n, checked_arcs())
 
-    # class cardinalities
+    # class cardinalities over the classes realizable at d. The patterns with more symbols have size 0 at d
+    # when class_cardinality_poly says so, and no vertex when all observed patterns are realizable: then each
+    # is one passing check, counted and not built. Else every pattern is built and checked, under the class cap.
     observed = oracle_class_counts(g)
-    for pattern, c in enumerated.items():
-        formula, oracle = c.cardinality.evaluate(d), observed.get(pattern, 0)
-        summary.checks += 1
+    checked = realizable
+    if not set(observed) <= {c.pattern for c in realizable} or any(
+        class_cardinality_poly(params.family, s).evaluate(d) for s in range(params.alphabet_size + 1, D + 1)
+    ):
+        checked = enumerate_classes(params.family, D)
+    summary.checks += class_count(params.family, D)  # one per pattern, built or not
+    for c in checked:
+        formula, oracle = c.cardinality.evaluate(d), observed.get(c.pattern, 0)
         if formula != oracle:
             summary.mismatch("class_cardinality", {**ctx_base, "pattern": c.label()}, formula, oracle)
-    stray = set(observed) - set(enumerated)
+    stray = set(observed) - {c.pattern for c in checked}
     if stray:
         summary.mismatch("class_enumeration", ctx_base, "no stray patterns", sorted(stray))
 

@@ -263,21 +263,108 @@ def test_verify_graph_computes_suffix_periods_once_per_vertex(monkeypatch):
     assert len(calls) == params.vertex_count and set(calls.values()) == {1}
 
 
-def test_verify_graph_builds_one_histogram_per_arc(monkeypatch):
-    real_histogram = DistanceTable.arc_histogram
+def test_verify_graph_builds_a_histogram_only_per_failing_arc(monkeypatch):
+    # a clean graph passes every arc by counting its byte codes; under the raised-table fault below
+    # (0110 -> 1111 of B(2,4) one too far) only the four arcs 0011 -> 0110, 0110 -> 1100, 0110 -> 1101
+    # and 1011 -> 0110 read the raised byte, and each builds one histogram
+    real_init, real_histogram = DistanceTable.__init__, DistanceTable.arc_histogram
     calls = []
 
     def counting(self, v_id, *w_ids):
-        calls.append(w_ids)
+        calls.append((v_id, *w_ids))
         return real_histogram(self, v_id, *w_ids)
 
+    def raised(self, g):
+        real_init(self, g)
+        if g.params == GraphParams(B, 2, 4):
+            self.rows[6][15] += 1
+
     monkeypatch.setattr(DistanceTable, "arc_histogram", counting)
-    params = GraphParams(B, 2, 6)
+    monkeypatch.setattr(DistanceTable, "__init__", raised)
     summary = GridSummary()
-    verify_graph(params, summary)
-    assert summary.ok
-    assert len(calls) == params.vertex_count * params.d
-    assert all(len(w_ids) == 1 for w_ids in calls)
+    verify_graph(GraphParams(B, 2, 6), summary)
+    assert summary.ok and calls == []
+    verify_graph(GraphParams(B, 2, 4), summary)
+    assert not summary.ok
+    assert sorted(calls) == [(3, 6), (6, 12), (6, 13), (11, 6)]
+
+
+def _cells_variants(exact, sibling, D):
+    """Cell dicts to decide an arc with: its own histogram cells at i >= 1, those of v's other out-arc,
+    one count moved to another cell, one count too many, one cell left out, an extra zero cell and an
+    out-of-range j0 key."""
+    (i, j), count = next(iter(exact.items()))
+    moved = dict(exact)
+    moved[(i, j)] -= 1
+    other = (i, (j + 1) % (D + 1))
+    moved[other] = moved.get(other, 0) + 1
+    zero = (D, 0) if (D, 0) not in exact else (1, D)
+    return [
+        exact,
+        sibling,
+        {k: c for k, c in moved.items() if c},
+        {**exact, (i, j): count + 1},
+        {k: c for k, c in exact.items() if k != (i, j)},
+        {**exact, zero: 0},
+        {**exact, ("j0", 1): 1},
+    ]
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID, ids=str)
+def test_byte_count_acceptance_equals_histogram_comparison(params):
+    # verify_graph passes an arc without a histogram when its codes hold its cell codes; over every arc
+    # that must decide exactly as comparing the cells with the histogram at i >= 1
+    from layerscope.oracle import cell_codes, codes_hold
+
+    g = build_explicit(params)
+    table = DistanceTable(g)
+    n, D = len(g.vertices), params.D
+    decided = Counter()
+    for v_id, succ_v in enumerate(g.succ):
+        hists = [{k: c for k, c in table.arc_histogram(v_id, w_id).items() if k[0]} for w_id in succ_v]
+        for k, w_id in enumerate(succ_v):
+            codes = table.arc_codes(v_id, w_id)
+            for cells in _cells_variants(hists[k], hists[k - 1], D):
+                expected = cell_codes(cells, D, n)
+                accepted = expected is not None and codes_hold(codes, v_id, D, expected)
+                assert accepted == (cells == hists[k]), (v_id, w_id, cells)
+                decided[accepted] += 1
+    assert decided[True] >= n * params.d and decided[False] >= 5 * n * params.d
+
+
+def test_byte_count_acceptance_needs_byte_v_at_distance_0():
+    # with dist(v, v) raised to D + 1 every cell count still holds, but the histogram gains a cell at i = D + 1
+    from layerscope.oracle import cell_codes, codes_hold
+
+    params = GraphParams(B, 2, 3)
+    table = DistanceTable(build_explicit(params))
+    w_id = table.g.succ[1][0]
+    expected = cell_codes({k: c for k, c in table.arc_histogram(1, w_id).items() if k[0]}, 3, 8)
+    assert codes_hold(table.arc_codes(1, w_id), 1, 3, expected)
+    table.rows[1][1] = 4
+    assert (4, table.rows[w_id][1]) in table.arc_histogram(1, w_id)
+    assert not codes_hold(table.arc_codes(1, w_id), 1, 3, expected)
+
+
+def test_verify_graph_builds_only_the_realizable_classes(monkeypatch):
+    # B(2,6) has Bell(6) = 203 classes, 32 of them with at most 2 symbols: under a class cap between the
+    # two, verify_graph checks every class as before, counting the 171 that have no vertex at d = 2
+    from layerscope import probabilities, vertex_classes
+
+    def clear_caches():
+        for f in [*vars(probabilities).values(), *vars(vertex_classes).values()]:
+            getattr(f, "cache_clear", lambda: None)()
+
+    params, unpatched, patched = GraphParams(B, 2, 6), GridSummary(), GridSummary()
+    verify_graph(params, unpatched)
+    clear_caches()
+    monkeypatch.setattr("layerscope.vertex_classes.CLASS_CAP", vertex_classes.class_count(B, 6) - 1)
+    try:
+        verify_graph(params, patched)
+    finally:
+        clear_caches()
+    assert vertex_classes.class_count(B, 6, 2) == 32 < vertex_classes.CLASS_CAP
+    assert (patched.checks, patched.mismatches) == (unpatched.checks, unpatched.mismatches) == (9000, [])
 
 
 def test_report_json_shape():
@@ -433,6 +520,37 @@ def test_verify_reports_injected_class_cardinality_fault_exactly(monkeypatch):
             "class_cardinality family=B d=2 D=3 pattern=012 0 1",
             "class_cardinality family=K d=2 D=3 pattern=010 6 7",
             "class_cardinality family=K d=2 D=3 pattern=012 6 7",
+        ],
+    )
+
+
+# Formula-side fault on the class sizes: size polynomials one too large at s = 3 symbols, one more
+# than B(2,3) draws at d = 2 and within K(2,4)'s alphabet of 3. Records taken while verify_graph built
+# every Bell(D) class; the classes are rebuilt so that they carry the broken sizes.
+def test_verify_reports_a_class_size_fault_beyond_the_alphabet_exactly(monkeypatch):
+    from layerscope import vertex_classes
+    from layerscope.polynomials import IntPolynomial
+
+    real_poly = vertex_classes.class_cardinality_poly
+
+    def broken_poly(family, s):
+        return real_poly(family, s) + IntPolynomial.one() if s == 3 else real_poly(family, s)
+
+    vertex_classes._build_classes.cache_clear()
+    monkeypatch.setattr(vertex_classes, "class_cardinality_poly", broken_poly)
+    summary = GridSummary()
+    try:
+        verify_graph(GraphParams(B, 2, 3), summary)
+        verify_graph(GraphParams(K, 2, 4), summary)
+    finally:
+        vertex_classes._build_classes.cache_clear()
+    assert (summary.checks, _records(summary)) == (
+        1885,
+        [
+            "class_cardinality family=B d=2 D=3 pattern=012 1 0",
+            "class_cardinality family=K d=2 D=4 pattern=0102 7 6",
+            "class_cardinality family=K d=2 D=4 pattern=0120 7 6",
+            "class_cardinality family=K d=2 D=4 pattern=0121 7 6",
         ],
     )
 

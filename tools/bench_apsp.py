@@ -4,18 +4,19 @@ Each row is measured at a base revision and at the working tree, each in a fresh
 interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and n^2),
 the best of 3 verify_graph runs per graph with the class-sum caches cleared before
 each (growth drivers arcs = n d and D), and one `layerscope verify` over the default
-grid by the CLI, in seconds. The maxrss columns are ru_maxrss of that interpreter,
-in MB. Standard library only.
+grid by the CLI, in seconds; a revision that refuses a graph (TooLarge) reads
+"refused". The maxrss columns are ru_maxrss of that interpreter, in MB. Standard
+library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_23.json
+    python tools/bench_apsp.py BASE_REV BENCH_25.json
 """
 
 import io, json, os, platform, subprocess, sys, tarfile, tempfile
 
-GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6)]
+GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
-from layerscope import cli, graphs, oracle, probabilities, vertex_classes
+from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
 stage, args, best = sys.argv[1], sys.argv[2:], float("inf")
 params = args and graphs.GraphParams(graphs.Family.parse(args[0]), *map(int, args[1:]))
 for _ in range(3 if args else 1):
@@ -23,13 +24,17 @@ for _ in range(3 if args else 1):
         getattr(f, "cache_clear", lambda: None)()
     g, summary = stage == "DistanceTable" and graphs.build_explicit(params), oracle.GridSummary()
     t = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        if stage == "DistanceTable":
-            oracle.DistanceTable(g)
-        elif stage == "verify_graph":
-            oracle.verify_graph(params, summary)
-        else:
-            cli.main(["verify"])
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if stage == "DistanceTable":
+                oracle.DistanceTable(g)
+            elif stage == "verify_graph":
+                oracle.verify_graph(params, summary)
+            else:
+                cli.main(["verify"])
+    except errors.TooLarge:
+        best = "refused"
+        break
     best = min(best, time.perf_counter() - t)
     assert summary.ok
 print(json.dumps([best, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
@@ -60,7 +65,8 @@ def main(base: str, path: str) -> None:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
         for stage, argv, growth in [*stages, ("layerscope verify, default grid", ("grid",), {})]:
             (base_s, base_mb), (new_s, new_mb) = (measure(os.path.join(top, "src"), *argv) for top in (tmp, ROOT))
-            rows.append({"stage": stage, **growth, "base_s": round(base_s, 4), "change_s": round(new_s, 4),
+            seconds = [s if isinstance(s, str) else round(s, 4) for s in (base_s, new_s)]
+            rows.append({"stage": stage, **growth, "base_s": seconds[0], "change_s": seconds[1],
                          "base_maxrss_mb": round(base_mb, 1), "change_maxrss_mb": round(new_mb, 1)})
             print(json.dumps(rows[-1]), file=sys.stderr)
     about = __doc__.split("\n\n")[1].replace("\n", " ")
