@@ -20,7 +20,7 @@ from typing import List, Optional
 from .errors import AlphabetTooSmall, InvalidRange, LayerscopeError, TooLarge
 from .graphs import Family, GraphParams, alphabet_size, build_explicit, split_symbols, validate_vertex
 from .layers import layer_poly_eval
-from .oracle import simulate_walk_hops, verify_grid
+from .oracle import _DEFAULT_GRID, simulate_walk_hops, verify_grid
 from .probabilities import (
     build_chain,
     expected_hops,
@@ -244,10 +244,12 @@ def cmd_meandist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # a value repeated on the command line (-f B -f b included) is one graph, run once in first-seen order
-    families = list(dict.fromkeys(map(Family.parse, args.family))) if args.family else list(Family)
-    d_values = list(dict.fromkeys(args.d or [2, 3, 4]))
-    D_values = list(dict.fromkeys(args.D or [2, 3, 4, 5]))
+    # a value repeated on the command line (-f B -f b included) is one graph, run once in first-seen order;
+    # an axis not given takes verify_grid's default
+    families, d_values, D_values = _DEFAULT_GRID
+    families = list(dict.fromkeys(map(Family.parse, args.family) if args.family else families))
+    d_values = list(dict.fromkeys(args.d or d_values))
+    D_values = list(dict.fromkeys(args.D or D_values))
     summary = verify_grid(families, d_values, D_values)
     for m in summary.mismatches:
         print(json.dumps(m.to_json(), sort_keys=True))

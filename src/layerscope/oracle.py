@@ -4,6 +4,9 @@ The verify oracle consults no closed form: distances come from breadth-first
 search on the materialized digraph, all sources at once, class sizes from grouping
 actual vertices, and probabilities from counting ordered pairs. The formula side of
 the package is validated against them with exact rational equality (verify_grid).
+verify_graph runs one check per quantity on one DistanceTable: `_check_distances`,
+`_check_layer_counts`, `_check_arcs` (intersection counts and j0, whose landings give
+the oracle P_t), `_check_class_sizes`, `_check_p_in` (and the mean distance), `_check_p_t`.
 The packet walk starts from `graphs.distance_row` (checked against BFS by
 verify_graph) and follows a packet's distance alone, on `graphs.landing_row`.
 """
@@ -17,6 +20,7 @@ from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from . import graphs, layers, probabilities, vertex_classes
 from .errors import ChainDiverges
 from .graphs import ExplicitDigraph, Family, GraphParams, Vertex, build_explicit, format_vertex
 
@@ -303,148 +307,140 @@ def codes_hold(codes: bytes, v_id: int, D: int, expected: Tuple[Tuple[int, int],
 
 
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
-    """Run every formula-vs-oracle check for one (family, d, D)."""
-    from . import probabilities as prob
-    from .layers import LayerPolynomial, intersection_report_eval, layer_masks, suffix_periods
-    from .vertex_classes import class_cardinality_poly, class_count, enumerate_classes
+    """Run every formula-vs-oracle check for one (family, d, D): the `_check_*` of each quantity, on one table."""
+    g = build_explicit(params)  # refused over APSP_CAP before any vertex is built
+    realizable = vertex_classes.enumerate_classes(params.family, params.D, params.alphabet_size)  # the class cap
+    table = DistanceTable(g)  # the BFS, after both refusals
+    ctx = {"family": str(params.family), "d": params.d, "D": params.D}
+    summary.record("vertex_count", ctx, params.vertex_count, len(g.vertices))
+    _check_distances(g, table.rows, summary, ctx)
+    periods = [layers.suffix_periods(v) for v in g.vertices]  # once per vertex, for its layers and out-arcs
+    masks = [layers.layer_masks(params.family, params.D, pi) for pi in periods]
+    counts = [table.layer_counts(v_id) for v_id in range(len(g.vertices))]
+    _check_layer_counts(g, masks, counts, summary, ctx)
+    oracle_pt = _transition_table(params, len(g.vertices), _check_arcs(g, table, periods, masks, counts, summary, ctx))
+    _check_class_sizes(g, realizable, summary, ctx)
+    _check_p_in(params, counts, summary, ctx)
+    _check_p_t(params, oracle_pt, summary, ctx)
 
-    d, D = params.d, params.D
-    g = build_explicit(params)
-    realizable = enumerate_classes(params.family, D, params.alphabet_size)  # the class cap, before any BFS
-    table = DistanceTable(g)
-    n = len(g.vertices)
-    ctx_base = {"family": str(params.family), "d": d, "D": D}
 
-    summary.record("vertex_count", ctx_base, params.vertex_count, n)
-
-    # closed-form distance row vs BFS row for every source
-    from .graphs import distance_row
-
-    for v_id, v in enumerate(g.vertices):
-        row, formula = table.rows[v_id], distance_row(params, v)
-        summary.checks += n
+def _check_distances(g: ExplicitDigraph, rows: List[bytearray], summary: GridSummary, ctx: dict) -> None:
+    """The closed-form `graphs.distance_row` of every source against its BFS row, one comparison per row."""
+    for v, row in zip(g.vertices, rows):
+        formula = graphs.distance_row(g.params, v)
+        summary.checks += len(row)
         if formula != row:
             for z_id, z in enumerate(g.vertices):
                 if formula[z_id] != row[z_id]:
-                    ctx = {**ctx_base, "v": format_vertex(params, v), "z": format_vertex(params, z)}
-                    summary.mismatch("distance", ctx, formula[z_id], row[z_id])
+                    pair = {**ctx, "v": format_vertex(g.params, v), "z": format_vertex(g.params, z)}
+                    summary.mismatch("distance", pair, formula[z_id], row[z_id])
 
-    # layer counts for every (v, i), from each vertex's suffix periods and layer masks, computed once;
-    # |S_i*(v)| depends on (i, mask) alone, so each distinct one is evaluated once
-    periods = [suffix_periods(v) for v in g.vertices]
-    masks = [layer_masks(params.family, D, pi) for pi in periods]
-    layer_counts = [table.layer_counts(v_id) for v_id in range(n)]
-    layer_values: Dict[Tuple[int, int], int] = {}
-    for v, counts, masks_v in zip(g.vertices, layer_counts, masks):
+
+def _check_layer_counts(g: ExplicitDigraph, masks: list, counts: list, summary: GridSummary, ctx: dict) -> None:
+    """|S_i*(v)| from v's layer masks for every (v, i); it depends on (i, mask) alone, so each is evaluated once."""
+    D = g.params.D
+    values: Dict[Tuple[int, int], int] = {}
+    for v, counts_v, masks_v in zip(g.vertices, counts, masks):
         summary.checks += D + 1
         for i in range(D + 1):
-            if (formula := layer_values.get((i, masks_v[i]))) is None:
-                formula = layer_values[(i, masks_v[i])] = LayerPolynomial.from_mask(i, masks_v[i]).evaluate(d)
-            if formula != counts[i]:
-                ctx = {**ctx_base, "v": format_vertex(params, v), "i": i}
-                summary.mismatch("layer_count", ctx, formula, counts[i])
+            if (formula := values.get((i, masks_v[i]))) is None:
+                formula = values[(i, masks_v[i])] = layers.LayerPolynomial.from_mask(i, masks_v[i]).evaluate(g.params.d)
+            if formula != counts_v[i]:
+                summary.mismatch("layer_count", {**ctx, "v": format_vertex(g.params, v), "i": i}, formula, counts_v[i])
 
-    # intersection counts and j0 for every arc and every (i, j); the arcs come from g.succ, so their
-    # reports need no adjacency check. The formula cells depend on the arc only through its `arc_report_key`,
-    # so they and their byte codes are evaluated once per key. An arc whose codes hold them passes and adds
-    # them to the oracle P_t; any other builds its histogram and is explained cell by cell from its own reports.
-    def arc(v, w, **cell):
-        return {**ctx_base, "v": format_vertex(params, v), "w": format_vertex(params, w), **cell}
 
-    def formula_cells(reports):  # the nonzero formula cells, and forward at j0 always (hist holds no zero)
-        cells = {}
-        for i, report in enumerate(reports, 1):
-            if report.back is not None and (back := report.back.evaluate(d)):
-                cells[(i, i - 1)] = back
-            j0 = report.forward_j
-            if j0 is not None:  # a j0 outside [i, D] fails its check: a key no histogram holds
-                cells[(i, j0) if i <= j0 <= D else ("j0", i)] = report.forward.evaluate(d)
-        return cells
-
-    def reports_of(v_id, w_id):
-        v, w = g.vertices[v_id], g.vertices[w_id]
-        return intersection_report_eval(params.family, D, v, w, periods[v_id], periods[w_id], masks[v_id], d == 2)
-
+def _check_arcs(
+    g: ExplicitDigraph, table: DistanceTable, periods: list, masks: list, counts: list, summary: GridSummary, ctx: dict
+) -> Iterable[tuple]:
+    """Intersection counts and j0 of every arc and (i, j), yielding (v_id, cells summed over v's out-arcs, |S_i*(v)|)
+    per vertex for `_transition_table`. The arcs come from g.succ, so they need no adjacency check. An arc's reports
+    depend on it only through its `arc_report_key`, so each key's j0 per i, formula cells and `cell_codes` are
+    evaluated once. An arc whose codes hold them passes and lands its key's cells; any other builds its histogram,
+    lands that and is explained cell by cell from its key's j0 and cells."""
+    params, n = g.params, len(g.vertices)
+    d, D = params.d, params.D
     period_keys = [tuple(pi) for pi in periods]
-    cells_by_key: Dict[tuple, tuple] = {}  # arc key -> (formula cells, their `cell_codes`)
-
-    def checked_arcs():  # each vertex's out-arcs checked, then their summed cells for the oracle P_t
-        for v_id, v in enumerate(g.vertices):
-            landed: Counter = Counter()
-            codes = table.arc_codes(v_id, *g.succ[v_id])
-            for at, w_id in zip(range(0, len(codes), n), g.succ[v_id]):
-                w = g.vertices[w_id]
-                summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
-                key = arc_report_key(v, w, period_keys[v_id], period_keys[w_id])
-                if (entry := cells_by_key.get(key)) is None:
-                    cells = formula_cells(reports_of(v_id, w_id))
-                    entry = cells_by_key[key] = cells, cell_codes(cells, D, n)
-                cells, expected = entry
-                if expected is not None and codes_hold(codes[at : at + n], v_id, D, expected):
-                    landed.update(cells)
-                    continue
-                hist = table.arc_histogram(v_id, w_id)
-                landed.update(hist)
-                reports = reports_of(v_id, w_id)
-                cells = formula_cells(reports)
+    entries: Dict[tuple, tuple] = {}  # arc key -> (j0 per i, formula cells, their `cell_codes`)
+    for v_id, v in enumerate(g.vertices):
+        landed: Counter = Counter()
+        codes = table.arc_codes(v_id, *g.succ[v_id])
+        for at, w_id in zip(range(0, len(codes), n), g.succ[v_id]):
+            w = g.vertices[w_id]
+            summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
+            key = arc_report_key(v, w, period_keys[v_id], period_keys[w_id])
+            if (entry := entries.get(key)) is None:
+                pis = periods[v_id], periods[w_id]
+                reports = layers.intersection_report_eval(params.family, D, v, w, *pis, masks[v_id], d == 2)
+                cells = {}  # the nonzero formula cells, and forward at j0 always (a histogram holds no zero)
                 for i, report in enumerate(reports, 1):
-                    j0 = report.forward_j
-                    forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
-                    if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
-                        summary.mismatch("unique_j0", arc(v, w, i=i), j0, forward_js)
-                    for j in range(i - 1, D + 1):
-                        if (formula := cells.get((i, j), 0)) != hist[(i, j)]:
-                            summary.mismatch("intersection_count", arc(v, w, i=i, j=j), formula, hist[(i, j)])
-            yield v_id, landed, layer_counts[v_id]
+                    if report.back is not None and (back := report.back.evaluate(d)):
+                        cells[(i, i - 1)] = back
+                    if (j0 := report.forward_j) is not None:  # a j0 outside [i, D] fails: a key no histogram holds
+                        cells[(i, j0) if i <= j0 <= D else ("j0", i)] = report.forward.evaluate(d)
+                entry = entries[key] = [r.forward_j for r in reports], cells, cell_codes(cells, D, n)
+            j0s, cells, expected = entry
+            if expected is not None and codes_hold(codes[at : at + n], v_id, D, expected):
+                landed.update(cells)
+                continue
+            hist = table.arc_histogram(v_id, w_id)
+            landed.update(hist)
+            for i, j0 in enumerate(j0s, 1):
+                arc = {**ctx, "v": format_vertex(params, v), "w": format_vertex(params, w), "i": i}
+                forward_js = [j for j in range(i, D + 1) if hist[(i, j)]]
+                if j0 != (forward_js[0] if forward_js else None) or len(forward_js) > 1:
+                    summary.mismatch("unique_j0", arc, j0, forward_js)
+                for j in range(i - 1, D + 1):
+                    if (formula := cells.get((i, j), 0)) != hist[(i, j)]:
+                        summary.mismatch("intersection_count", {**arc, "j": j}, formula, hist[(i, j)])
+        yield v_id, landed, counts[v_id]
 
-    oracle_pt = _transition_table(params, n, checked_arcs())
 
-    # class cardinalities over the classes realizable at d. The patterns with more symbols have size 0 at d
-    # when class_cardinality_poly says so, and no vertex when all observed patterns are realizable: then each
-    # is one passing check, counted and not built. Else every pattern is built and checked, under the class cap.
+def _check_class_sizes(g: ExplicitDigraph, realizable: list, summary: GridSummary, ctx: dict) -> None:
+    """Class cardinalities over the classes realizable at d. The patterns with more symbols have size 0 at d when
+    class_cardinality_poly says so, and no vertex when all observed patterns are realizable: then each is one
+    passing check, counted and not built. Else every pattern is built and checked, under the class cap."""
+    family, d, D = g.params.family, g.params.d, g.params.D
     observed = oracle_class_counts(g)
     checked = realizable
     if not set(observed) <= {c.pattern for c in realizable} or any(
-        class_cardinality_poly(params.family, s).evaluate(d) for s in range(params.alphabet_size + 1, D + 1)
+        vertex_classes.class_cardinality_poly(family, s).evaluate(d) for s in range(g.params.alphabet_size + 1, D + 1)
     ):
-        checked = enumerate_classes(params.family, D)
-    summary.checks += class_count(params.family, D)  # one per pattern, built or not
+        checked = vertex_classes.enumerate_classes(family, D)
+    summary.checks += vertex_classes.class_count(family, D)  # one per pattern, built or not
     for c in checked:
         formula, oracle = c.cardinality.evaluate(d), observed.get(c.pattern, 0)
         if formula != oracle:
-            summary.mismatch("class_cardinality", {**ctx_base, "pattern": c.label()}, formula, oracle)
+            summary.mismatch("class_cardinality", {**ctx, "pattern": c.label()}, formula, oracle)
     stray = set(observed) - {c.pattern for c in checked}
     if stray:
-        summary.mismatch("class_enumeration", ctx_base, "no stray patterns", sorted(stray))
+        summary.mismatch("class_enumeration", ctx, "no stray patterns", sorted(stray))
 
-    # input probabilities, transition probabilities, mean distance
-    pair_hist = [sum(layer) for layer in zip(*layer_counts)]
-    total_dist = sum(i * count for i, count in enumerate(pair_hist))
-    pairs = n * (n - 1)
-    p_in = {i: prob.p_in_value(params.family, d, D, i) for i in range(1, D + 1)}
-    for i in range(1, D + 1):
-        summary.record("p_in", {**ctx_base, "i": i}, p_in[i], Fraction(pair_hist[i], pairs))
-    summary.record(
-        "mean_distance",
-        ctx_base,
-        sum(i * p for i, p in p_in.items()),
-        Fraction(total_dist, pairs),
-    )
 
-    for i in range(1, D + 1):
-        for j in range(i, D + 1):
-            summary.record(
-                "p_t",
-                {**ctx_base, "i": i, "j": j},
-                prob.p_t_value(params.family, d, D, i, j),
-                oracle_pt[(i, j)],
-            )
+def _check_p_in(params: GraphParams, counts: list, summary: GridSummary, ctx: dict) -> None:
+    """P_in(i) for i = 1 .. D and the mean distance against the ordered pairs counted at each distance."""
+    pair_hist = [sum(layer) for layer in zip(*counts)]  # ordered pairs per distance
+    pairs = len(counts) * (len(counts) - 1)
+    p_in = {i: probabilities.p_in_value(params.family, params.d, params.D, i) for i in range(1, params.D + 1)}
+    for i, p in p_in.items():
+        summary.record("p_in", {**ctx, "i": i}, p, Fraction(pair_hist[i], pairs))
+    oracle_mean = Fraction(sum(i * count for i, count in enumerate(pair_hist)), pairs)
+    summary.record("mean_distance", ctx, sum(i * p for i, p in p_in.items()), oracle_mean)
+
+
+def _check_p_t(params: GraphParams, oracle_pt: dict, summary: GridSummary, ctx: dict) -> None:
+    """P_t(i, j) for every 1 <= i <= j <= D against the oracle's landings."""
+    for (i, j), oracle in oracle_pt.items():
+        formula = probabilities.p_t_value(params.family, params.d, params.D, i, j)
+        summary.record("p_t", {**ctx, "i": i, "j": j}, formula, oracle)
+
+
+_DEFAULT_GRID = (Family.DEBRUIJN, Family.KAUTZ), (2, 3, 4), (2, 3, 4, 5)  # verify's families, d and D values
 
 
 def verify_grid(
-    families: Iterable[Family] = (Family.DEBRUIJN, Family.KAUTZ),
-    d_values: Iterable[int] = (2, 3, 4),
-    D_values: Iterable[int] = (2, 3, 4, 5),
+    families: Iterable[Family] = _DEFAULT_GRID[0],
+    d_values: Iterable[int] = _DEFAULT_GRID[1],
+    D_values: Iterable[int] = _DEFAULT_GRID[2],
 ) -> GridSummary:
     """Cross-check every closed-form quantity against the oracle on a grid of graphs."""
     summary = GridSummary()

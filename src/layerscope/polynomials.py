@@ -52,8 +52,8 @@ class IntPolynomial:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        return cls((0,) * power + (coeff,))
+    def monomial(cls, power: int) -> "IntPolynomial":
+        return cls((0,) * power + (1,))
 
     # -- basic structure ----------------------------------------------
 
@@ -143,7 +143,7 @@ class IntPolynomial:
 
     # -- formatting -----------------------------------------------------
 
-    def format(self, var: str = "d") -> str:
+    def format(self) -> str:
         """Human-readable form with descending powers, e.g. 'd^4 - d^2 - 1'."""
         if self.is_zero:
             return "0"
@@ -156,9 +156,9 @@ class IntPolynomial:
             if power == 0:
                 term = str(mag)
             elif power == 1:
-                term = var if mag == 1 else f"{mag}*{var}"
+                term = "d" if mag == 1 else f"{mag}*d"
             else:
-                term = f"{var}^{power}" if mag == 1 else f"{mag}*{var}^{power}"
+                term = f"d^{power}" if mag == 1 else f"{mag}*d^{power}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -208,18 +208,8 @@ def _divmod_int(num: IntPolynomial, den: IntPolynomial):
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b), exact over Z."""
-    scale = b.leading ** (a.degree - b.degree + 1)
-    r = list((a * scale).coeffs)
-    dlead = b.leading
-    ddeg = b.degree
-    for k in range(len(r) - 1, ddeg - 1, -1):
-        if r[k] == 0:
-            continue
-        f = r[k] // dlead  # exact by construction of the scale factor
-        for t, c in enumerate(b.coeffs):
-            r[k - ddeg + t] -= f * c
-    return IntPolynomial(r)
+    """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b), exact over Z by that scale."""
+    return _divmod_int(a * b.leading ** (a.degree - b.degree + 1), b)[1]
 
 
 def _heu_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
@@ -365,12 +355,12 @@ class RationalFunction:
             raise PoleAtValue(f"denominator vanishes at d={d_value}")
         return Fraction(self.num.evaluate(d_value), dv)
 
-    def format(self, var: str = "d") -> str:
+    def format(self) -> str:
         """Canonical display form, e.g. '(d - 1) / d^3' or 'd^2 - 1'."""
         if self.den == IntPolynomial.one():
-            return self.num.format(var)
-        num_s = self.num.format(var)
-        den_s = self.den.format(var)
+            return self.num.format()
+        num_s = self.num.format()
+        den_s = self.den.format()
         if self.num.term_count > 1:
             num_s = f"({num_s})"
         if self.den.term_count > 1:

@@ -266,13 +266,20 @@ def test_verify_graph_computes_suffix_periods_once_per_vertex(monkeypatch):
 def test_verify_graph_builds_a_histogram_only_per_failing_arc(monkeypatch):
     # a clean graph passes every arc by counting its byte codes; under the raised-table fault below
     # (0110 -> 1111 of B(2,4) one too far) only the four arcs 0011 -> 0110, 0110 -> 1100, 0110 -> 1101
-    # and 1011 -> 0110 read the raised byte, and each builds one histogram
+    # and 1011 -> 0110 read the raised byte, and each builds one histogram. A failing arc is explained
+    # from its key's reports, so the reports are still evaluated once per arc key, as on the clean graph
+    from layerscope.layers import intersection_report_eval as real_reports
+
     real_init, real_histogram = DistanceTable.__init__, DistanceTable.arc_histogram
-    calls = []
+    calls, reports = [], []
 
     def counting(self, v_id, *w_ids):
         calls.append((v_id, *w_ids))
         return real_histogram(self, v_id, *w_ids)
+
+    def counting_reports(*args):
+        reports.append(args)
+        return real_reports(*args)
 
     def raised(self, g):
         real_init(self, g)
@@ -280,13 +287,18 @@ def test_verify_graph_builds_a_histogram_only_per_failing_arc(monkeypatch):
             self.rows[6][15] += 1
 
     monkeypatch.setattr(DistanceTable, "arc_histogram", counting)
+    monkeypatch.setattr("layerscope.layers.intersection_report_eval", counting_reports)
+    verify_graph(GraphParams(B, 2, 4), GridSummary())
+    clean_reports = len(reports)
     monkeypatch.setattr(DistanceTable, "__init__", raised)
     summary = GridSummary()
     verify_graph(GraphParams(B, 2, 6), summary)
     assert summary.ok and calls == []
+    reports.clear()
     verify_graph(GraphParams(B, 2, 4), summary)
     assert not summary.ok
     assert sorted(calls) == [(3, 6), (6, 12), (6, 13), (11, 6)]
+    assert len(reports) == clean_reports
 
 
 def _cells_variants(exact, sibling, D):
