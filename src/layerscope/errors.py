@@ -18,7 +18,7 @@ class KautzRepeat(LayerscopeError):
 
 
 class TooLarge(LayerscopeError):
-    """A computation exceeds a resource cap (n^2 distance bytes, vertex classes or walk hops)."""
+    """A computation exceeds a resource cap (n^2 distance bytes, vertex classes, border arrays or walk hops)."""
 
 
 class VertexNotInGraph(LayerscopeError):

@@ -321,9 +321,6 @@ class RationalFunction:
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
 

@@ -1,10 +1,10 @@
 """Exact deflection-routing probabilities and the absorbing distance chain.
 
 Input probability: P_in(i) is the chance that a uniform ordered pair of
-distinct vertices is at distance i. Averaging the layer polynomial over the
-vertex classes gives a rational function of d valid for every d >= 2; classes
-are counted per suffix-period vector (it fixes the layer masks at every i) and
-s, and a concrete degree sums only the classes realizable there.
+distinct vertices is at distance i, sum_v |S_i*(v)| over n (n - 1). The sum
+is linear in the layer bits, which depend on v only through its suffix
+periods, so one count of words by shortest period (over border arrays, not
+vertex classes) gives its numerator as one polynomial, valid at every d >= 2.
 
 Transition probability: a packet at v, destined to z at distance i, is
 deflected through a uniform choice among the d - 1 out-links other than the
@@ -30,13 +30,15 @@ degree evaluates the same sums in exact fractions.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import ChainDiverges, InvalidRange
-from .graphs import Family, Vertex, alphabet_size, vertex_count_poly
+from . import vertex_classes
+from .errors import ChainDiverges, InvalidRange, TooLarge
+from .graphs import Family, GraphParams, Vertex, alphabet_size, vertex_count_poly
 from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction
 from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
@@ -46,30 +48,62 @@ from .vertex_classes import VertexClass, class_cardinality_poly, classes_realiza
 # ---------------------------------------------------------------------------
 
 
-def _sum_sizes(family: Family, counts: Counter) -> Dict[tuple, IntPolynomial]:
-    """{key: sum of count * class_cardinality_poly(s)} over counts keyed by (*key, s)."""
-    sizes: Dict[tuple, IntPolynomial] = {}
-    for (*key, s), count in counts.items():
-        key = tuple(key)
-        sizes[key] = sizes.get(key, IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
-    return sizes
-
-
 @functools.lru_cache(maxsize=None)
-def _layer_sums(
-    family: Family, D: int, d: Optional[int] = None
-) -> List[Dict[IntPolynomial, IntPolynomial]]:
-    """sums[i] = {layer polynomial at i: sum_c |c|}, with classes counted per
-    (suffix-period vector, s); the vector fixes the layer masks at every i. Over
-    every class when d is None; else over the classes realizable at d."""
-    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
-    counts = Counter((*suffix_periods(c.pattern), c.s) for c in classes)
-    sums: List[Dict[IntPolynomial, IntPolynomial]] = [{} for _ in range(D + 1)]
-    for pi, size in _sum_sizes(family, counts).items():
-        for i, (a, by_layer) in enumerate(zip(layer_masks(family, D, pi), sums)):
-            layer = LayerPolynomial.from_mask(i, a).to_poly()
-            by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + size
-    return sums
+def _pair_counts(family: Family, D: int) -> List[IntPolynomial]:
+    """counts[i] = sum_v |S_i*(v)|, i = 0 .. D, as polynomials valid at every d.
+
+    |S_i*(v)| is d^i less d^k for each k < i with pi_k(v) = i - k (k <= D - 2 for Kautz), and v[:k]
+    has d^k choices, so counts[i] = n d^i - sum_k d^(2k) M(D - k, i - k), M(m, p) the words of length
+    m with shortest period p, counted by one depth-first search over border arrays (Moore, Smyth and
+    Miller, Algorithmica 23, 1999). A node r[:m] (a new integer per fresh symbol) weighs the words
+    sharing its border array. Each distinct r[c], c on the border chain of m, gives a child of equal
+    weight and border c + 1 (c the longest); one fresh child, border 0, multiplies the weight by the
+    alphabet size less those symbols and, for Kautz, r[m - 1], whose child Kautz drops. The border
+    array fixes which chain symbols are equal, so one word stands for all.
+    """
+    cap = vertex_classes.CLASS_CAP  # read per call, so that a test can lower it
+    # below depth D every node but Kautz's root has two children or more: 2^(D - 1) nodes at least
+    if D > cap.bit_length():  # 2^(D - 1) > cap
+        raise TooLarge(f"P_in of {family}(d,{D}) needs at least 2^{D - 1} border-array nodes, above the cap of {cap:,}")
+    kautz = family is Family.KAUTZ
+    weights = [class_cardinality_poly(family, 1)]  # by weight id; the root's is the alphabet size
+    fresh: Dict[Tuple[int, int], int] = {}  # (weight id, symbols excluded) -> the fresh child's weight id
+    tally: Counter = Counter()  # nodes per (m, p, weight id); a product per node is 2x slower
+    r, border, nodes = [0] * D, [0] * (D + 1), itertools.count(1)
+
+    def visit(m: int, s: int, w: int) -> None:
+        if next(nodes) > cap:
+            raise TooLarge(f"P_in of {family}(d,{D}) needs more border-array nodes than the cap of {cap:,}")
+        tally[m, m - border[m], w] += 1
+        if m == D:
+            return
+        c = border[m]
+        longest = {r[c]: c}  # each chain symbol at its longest c
+        while c:
+            c = border[c]
+            longest.setdefault(r[c], c)
+        if kautz:
+            longest.pop(r[m - 1], None)  # a Kautz word never repeats its last symbol
+        for x, c in longest.items():
+            r[m], border[m + 1] = x, c + 1
+            visit(m + 1, s, w)
+        excluded = len(longest) + kautz  # the chain symbols and, for Kautz, r[m - 1]
+        child = fresh.setdefault((w, excluded), len(weights))
+        if child == len(weights):
+            weights.append(weights[w] * IntPolynomial((kautz - excluded, 1)))
+        r[m], border[m + 1] = s, 0
+        visit(m + 1, s + 1, child)
+
+    visit(1, 1, 0)
+    words: Dict[Tuple[int, int], IntPolynomial] = {}  # M(m, p)
+    for (m, p, w), count in tally.items():
+        words[m, p] = words.get((m, p), IntPolynomial.zero()) + count * weights[w]
+    n = vertex_count_poly(family, D)
+    counts = [n * IntPolynomial.monomial(i) for i in range(D + 1)]
+    for (m, p), count in words.items():
+        if not (kautz and m == 1):  # k = D - m <= D - 2
+            counts[D - m + p] = counts[D - m + p] - IntPolynomial.monomial(2 * (D - m)) * count
+    return counts
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,31 +111,24 @@ def p_in(family: Family, D: int, i: int) -> RationalFunction:
     """P_in(i) as a canonical rational function of d, valid for every d >= 2."""
     if not 1 <= i <= D:
         raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
-    num = IntPolynomial.zero()
-    for layer, size in _layer_sums(family, D)[i].items():
-        num = num + size * layer
-    total = vertex_count_poly(family, D)
-    den = total * (total - IntPolynomial.one())
-    return RationalFunction(num, den)
+    n = vertex_count_poly(family, D)
+    return RationalFunction(_pair_counts(family, D)[i], n * (n - IntPolynomial.one()))
 
 
 def p_in_value(family: Family, d: int, D: int, i: int) -> Fraction:
-    """Exact P_in(i) at a concrete degree d >= 2, over the classes realizable there."""
+    """Exact P_in(i) at a concrete degree d >= 2: p_in's numerator and denominator at d."""
     if not 1 <= i <= D:
         raise InvalidRange(f"need 1 <= i <= D, got i={i}, D={D}")
-    sums = _layer_sums(family, D, d)[i]
-    pairs = sum(layer.evaluate(d) * size.evaluate(d) for layer, size in sums.items())
-    n = vertex_count_poly(family, D).evaluate(d)
-    return Fraction(pairs, n * (n - 1))
+    n = GraphParams(family, d, D).vertex_count  # raises ValueError below d = 2
+    return Fraction(_pair_counts(family, D)[i].evaluate(d), n * (n - 1))
 
 
 @functools.lru_cache(maxsize=None)
 def mean_distance(family: Family, D: int) -> RationalFunction:
-    """Sum of i * P_in(i), the exact mean distance over ordered pairs."""
-    acc = RationalFunction.zero()
-    for i in range(1, D + 1):
-        acc = acc + RationalFunction.from_int(i) * p_in(family, D, i)
-    return acc
+    """Sum of i * P_in(i), the exact mean distance over ordered pairs, as one fraction."""
+    n = vertex_count_poly(family, D)
+    num = sum((i * count for i, count in enumerate(_pair_counts(family, D))), IntPolynomial.zero())
+    return RationalFunction(num, n * (n - IntPolynomial.one()))
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +136,7 @@ def mean_distance(family: Family, D: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _class_terms(
-    family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]
-) -> Iterator[Tuple[int, int, int, int, int, int]]:
+def _class_terms(family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]) -> Iterator[tuple]:
     """(i, j0, A_i, m, t, s_eff) for each i in levels and successor archetype w = v[1:] + x.
 
     A symbol x already in v gives one successor, weight 1, s_eff = s. One fresh
@@ -134,9 +159,7 @@ def _class_terms(
 
 
 @functools.lru_cache(maxsize=None)
-def _transition_sums(
-    family: Family, D: int, d: Optional[int] = None
-) -> List[Dict[int, Dict[IntPolynomial, IntPolynomial]]]:
+def _transition_sums(family: Family, D: int, d: Optional[int] = None) -> List[Dict[int, dict]]:
     """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}: one pass counts
     the class terms per (i, j0, A_i, m, t, s_eff), then one product per (i, j0, A_i,
     m, t) of the forward polynomial with the summed class sizes. Over every class
@@ -144,8 +167,12 @@ def _transition_sums(
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
     levels = range(1, D + 1)
     counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
+    sizes: Dict[tuple, IntPolynomial] = {}  # summed class sizes per (i, j0, A_i, m, t)
+    for (*key, s), count in counts.items():
+        key = tuple(key)
+        sizes[key] = sizes.get(key, IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
     sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
-    for (i, j, a, m, t), size in _sum_sizes(family, counts).items():
+    for (i, j, a, m, t), size in sizes.items():
         layer = LayerPolynomial.from_mask(i, a).to_poly()
         num = size * LayerPolynomial.from_mask(i, m, t).to_poly()
         by_layer = sums[i].setdefault(j, {})
@@ -220,19 +247,9 @@ class ProbabilityTable:
 
     def check_normalized(self) -> bool:
         """Row sums must be exactly one (a rational-function identity when symbolic)."""
-        one = RationalFunction.one()
-        if self.kind == "input":
-            acc = RationalFunction.zero()
-            for i in range(1, self.D + 1):
-                acc = acc + self.entries[i]
-            return acc == one
-        for i in range(1, self.D + 1):
-            acc = RationalFunction.zero()
-            for j in range(i, self.D + 1):
-                acc = acc + self.entries[(i, j)]
-            if acc != one:
-                return False
-        return True
+        D, span, zero, one = self.D, range(1, self.D + 1), RationalFunction.zero(), RationalFunction.one()
+        rows = [[(i, j) for j in range(i, D + 1)] for i in span] if self.kind == "transition" else [span]
+        return all(sum((self.entries[key] for key in row), zero) == one for row in rows)
 
 
 def input_table(family: Family, D: int) -> ProbabilityTable:
@@ -241,11 +258,7 @@ def input_table(family: Family, D: int) -> ProbabilityTable:
 
 
 def transition_table(family: Family, D: int) -> ProbabilityTable:
-    entries = {
-        (i, j): p_t(family, D, i, j)
-        for i in range(1, D + 1)
-        for j in range(i, D + 1)
-    }
+    entries = {(i, j): p_t(family, D, i, j) for i in range(1, D + 1) for j in range(i, D + 1)}
     return ProbabilityTable(family, D, "transition", entries)
 
 
@@ -289,9 +302,7 @@ def build_chain(family: Family, d: int, D: int, deflect_prob) -> DeflectionChain
     return chain
 
 
-def expected_hops(
-    chain: DeflectionChain, start: Optional[Dict[int, Fraction]] = None
-) -> Fraction:
+def expected_hops(chain: DeflectionChain, start: Optional[Dict[int, Fraction]] = None) -> Fraction:
     """Exact expected number of hops to absorption from a start distribution.
 
     start maps distances 1 .. D to nonnegative probabilities summing to 1
@@ -317,23 +328,15 @@ def hitting_times(chain: DeflectionChain) -> Dict[int, Fraction]:
         raise ChainDiverges("deflection probability 1 never absorbs (P_t(D, D) = 1)")
     D = chain.D
     # (I - Q) h = 1 over transient states 1 .. D
-    a = [
-        [
-            (Fraction(int(r == c)) - chain.rows[r][c])
-            for c in range(1, D + 1)
-        ]
-        + [Fraction(1)]
-        for r in range(1, D + 1)
-    ]
-    m = D
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+    a = [[Fraction(int(r == c)) - chain.rows[r][c] for c in range(1, D + 1)] + [Fraction(1)] for r in range(1, D + 1)]
+    for col in range(D):
+        pivot = next((r for r in range(col, D) if a[r][col] != 0), None)
         assert pivot is not None, "transient system is singular"
         a[col], a[pivot] = a[pivot], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
-        for r in range(m):
+        for r in range(D):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return {i + 1: a[i][m] for i in range(m)}
+    return {i + 1: a[i][D] for i in range(D)}

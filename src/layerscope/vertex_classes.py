@@ -25,7 +25,7 @@ from .polynomials import IntPolynomial
 
 Pattern = Tuple[int, ...]
 
-# enumerate_classes refuses to build more classes than this
+# enumerate_classes builds at most this many classes, and the P_in search visits at most this many border arrays
 CLASS_CAP = 1_000_000
 
 

@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 import layerscope
+from layerscope import probabilities
 from layerscope.cli import main
 from layerscope.graphs import Family
 from layerscope.polynomials import RationalFunction
-from layerscope.probabilities import build_chain, expected_hops
+from layerscope.probabilities import build_chain, expected_hops, input_table
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,31 @@ def test_pt_refuses_class_count_over_the_cap(capsys):
     assert time.perf_counter() - start < 1
     assert rc == 2 and out == ""
     assert "190,899,322 vertex classes" in err and "1,000,000" in err
+
+
+def test_pin_runs_past_the_bell_cap(capsys):
+    # Bell(12) = 4,213,597 classes; the border-array search of B(d,12) visits 15,351 nodes
+    rc, out, err = run_cli(capsys, "pin", "-f", "B", "-D", "12")
+    assert rc == 0 and err == "" and len(out.splitlines()) == 14
+    assert input_table(Family.DEBRUIJN, 12).check_normalized()
+
+
+def test_pin_refuses_a_huge_diameter_at_once(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "pin", "-f", "B", "-D", "100000")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "2^99999 border-array nodes" in err and "cap of 1,000,000" in err
+
+
+def test_pin_refuses_over_a_lowered_cap(capsys, monkeypatch):
+    # K(d,9) has 301 nodes; none of its P_in may come from a cache filled under the real cap
+    for f in (probabilities._pair_counts, probabilities.p_in):
+        f.cache_clear()
+    monkeypatch.setattr("layerscope.vertex_classes.CLASS_CAP", 300)
+    rc, out, err = run_cli(capsys, "pin", "-f", "K", "-D", "9")
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: P_in of K(d,9) needs more border-array nodes than the cap of 300"
 
 
 def _no_bfs(*_):

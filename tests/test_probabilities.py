@@ -10,14 +10,17 @@ as a deliberately red fixture.
 """
 
 import functools
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from layerscope.errors import ChainDiverges, InvalidRange
+from layerscope.errors import ChainDiverges, InvalidRange, TooLarge
 from layerscope.graphs import Family, GraphParams, build_explicit, distance_row, vertex_count_poly
 from layerscope.oracle import DistanceTable, oracle_transition_table
 from layerscope.layers import (
+    LayerPolynomial,
     intersection_poly_at,
     intersection_report_eval,
     layer_masks,
@@ -38,8 +41,9 @@ from layerscope.probabilities import (
     p_t_value,
     transition_table,
 )
-from layerscope.probabilities import _transition_sums
-from layerscope.vertex_classes import canonical_pattern, classes_realizable, enumerate_classes
+from layerscope import vertex_classes
+from layerscope.probabilities import _pair_counts, _transition_sums
+from layerscope.vertex_classes import canonical_pattern, class_cardinality_poly, classes_realizable, enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
 
@@ -109,8 +113,8 @@ def test_p_in_value_matches_symbolic_and_class_by_class(family, d):
 
 @pytest.mark.parametrize("family,max_D", [(B, 8), (K, 9)])
 def test_grouped_p_in_matches_per_class_layer_sums(family, max_D):
-    # p_in and p_in_value group classes by suffix-period vector; the
-    # definition adds |c| * |S_i*(c)| class by class through the per-word API.
+    # p_in and p_in_value count words by border array; the definition adds
+    # |c| * |S_i*(c)| class by class through the per-word API.
     for D in range(1, max_D + 1):
         classes = enumerate_classes(family, D)
         n = vertex_count_poly(family, D)
@@ -123,6 +127,67 @@ def test_grouped_p_in_matches_per_class_layer_sums(family, max_D):
             for d in (2, 3):
                 value = p_in_value(family, d, D, i)
                 assert value == Fraction(num.evaluate(d), den.evaluate(d)), (D, i, d)
+
+
+def _grouped_class_sums(family, D):
+    """sum_v |S_i*(v)| for i = 0 .. D over every vertex class, counted per (suffix-period vector, s),
+    which fixes the layer masks at every i: one product per distinct layer polynomial. P_in summed
+    this way before the border-array search, and is kept here as its reference."""
+    counts = Counter((*suffix_periods(c.pattern), c.s) for c in enumerate_classes(family, D))
+    sizes = {}
+    for (*pi, s), count in counts.items():
+        sizes[tuple(pi)] = sizes.get(tuple(pi), IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
+    sums = [{} for _ in range(D + 1)]
+    for pi, size in sizes.items():
+        for i, (a, by_layer) in enumerate(zip(layer_masks(family, D, pi), sums)):
+            layer = LayerPolynomial.from_mask(i, a).to_poly()
+            by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + size
+    return [sum((size * layer for layer, size in by_layer.items()), IntPolynomial.zero()) for by_layer in sums]
+
+
+@pytest.mark.parametrize("family,max_D", [(B, 10), (K, 11)])
+def test_border_array_counts_match_the_grouped_class_sum(family, max_D):
+    for D in range(1, max_D + 1):
+        reference = _grouped_class_sums(family, D)
+        assert _pair_counts(family, D) == reference, D
+        n = vertex_count_poly(family, D)
+        den = n * (n - IntPolynomial.one())
+        for i in range(1, D + 1):
+            assert p_in(family, D, i) == RationalFunction(reference[i], den), (D, i)
+            for d in (2, 3):
+                assert p_in_value(family, d, D, i) == Fraction(reference[i].evaluate(d), den.evaluate(d)), (D, i, d)
+
+
+def _clear_p_in_caches():
+    for f in (_pair_counts, p_in, mean_distance):
+        f.cache_clear()
+
+
+def test_p_in_builds_no_vertex_class(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a P_in function built vertex classes")
+
+    _clear_p_in_caches()
+    monkeypatch.setattr(vertex_classes, "_build_classes", refuse)
+    assert input_table(B, 9).check_normalized()
+    assert sum(p_in_value(B, 2, 9, i) for i in range(1, 10)) == 1
+    assert mean_distance(B, 9).evaluate(2) == sum(i * p_in_value(B, 2, 9, i) for i in range(1, 10))
+
+
+def test_border_array_search_is_bounded_by_the_class_cap(monkeypatch):
+    # B(d,6) has 83 nodes and B(d,7) 193: a cap of 100 lets the first search run and stops the second
+    reference = _grouped_class_sums(B, 6)
+    _clear_p_in_caches()
+    monkeypatch.setattr(vertex_classes, "CLASS_CAP", 100)
+    assert _pair_counts(B, 6) == reference
+    with pytest.raises(TooLarge, match="needs more border-array nodes than the cap of 100"):
+        p_in(B, 7, 1)
+    with pytest.raises(TooLarge, match=r"needs at least 2\^7 border-array nodes, above the cap of 100"):
+        p_in_value(K, 2, 8, 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"2\^99999 border-array nodes"):
+        mean_distance(B, 100000)
+    assert time.perf_counter() - start < 1
 
 
 def test_input_table_normalized():

@@ -1,24 +1,29 @@
-"""Per-stage numbers for `verify`: the oracle's all-pairs DistanceTable, verify_graph and the default grid.
+"""Per-stage numbers for `verify` and P_in: the oracle's all-pairs DistanceTable, verify_graph, the
+default grid, and the input probabilities.
 
 Each row is measured at a base revision and at the working tree, each in a fresh
 interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and n^2),
 the best of 3 verify_graph runs per graph with the class-sum caches cleared before
-each (growth drivers arcs = n d and D), and one `layerscope verify` over the default
-grid by the CLI, in seconds; a revision that refuses a graph (TooLarge) reads
-"refused". The maxrss columns are ru_maxrss of that interpreter, in MB. Standard
-library only.
+each (growth drivers arcs = n d and D), one `layerscope verify` over the default
+grid by the CLI, and the best of 3 full P_in rows with the caches cleared before
+each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver the classes
+with at most the alphabet's symbols, all of them when symbolic), in seconds; a
+revision that refuses a graph (TooLarge) reads "refused". The maxrss columns are
+ru_maxrss of that interpreter, in MB. Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_25.json
+    python tools/bench_apsp.py BASE_REV BENCH_27.json
 """
 
 import io, json, os, platform, subprocess, sys, tarfile, tempfile
 
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
+P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
 from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
 stage, args, best = sys.argv[1], sys.argv[2:], float("inf")
-params = args and graphs.GraphParams(graphs.Family.parse(args[0]), *map(int, args[1:]))
+family, numbers = args and graphs.Family.parse(args[0]), [*map(int, args[1:])]
+params = stage in ("DistanceTable", "verify_graph") and graphs.GraphParams(family, *numbers)
 for _ in range(3 if args else 1):
     for f in [*vars(probabilities).values(), *vars(vertex_classes).values()]:
         getattr(f, "cache_clear", lambda: None)()
@@ -30,6 +35,10 @@ for _ in range(3 if args else 1):
                 oracle.DistanceTable(g)
             elif stage == "verify_graph":
                 oracle.verify_graph(params, summary)
+            elif stage == "p_in":
+                [probabilities.p_in(family, numbers[0], i) for i in range(1, numbers[0] + 1)]
+            elif stage == "p_in_value":
+                [probabilities.p_in_value(family, *numbers, i) for i in range(1, numbers[1] + 1)]
             else:
                 cli.main(["verify"])
     except errors.TooLarge:
@@ -60,10 +69,22 @@ def main(base: str, path: str) -> None:
     n_of = {"B": lambda d, D: d**D, "K": lambda d, D: d**D + d ** (D - 1)}
     stages = [(f"{stage} {f}({d},{D})", (stage, f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
               for stage in ("DistanceTable", "verify_graph") for f, d, D in GRAPHS]
+    stages.append(("layerscope verify, default grid", ("grid",), {}))
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from layerscope.graphs import Family, alphabet_size
+    from layerscope.vertex_classes import class_count
+
+    for f, d, D in P_IN:
+        family = Family.parse(f)
+        if d is None:
+            stages.append((f"p_in {f}(d,{D})", ("p_in", f, str(D)), {"class_count": class_count(family, D)}))
+        else:
+            growth = {"class_count": class_count(family, D, alphabet_size(family, d))}
+            stages.append((f"p_in_value {f}({d},{D})", ("p_in_value", f, str(d), str(D)), growth))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
-        for stage, argv, growth in [*stages, ("layerscope verify, default grid", ("grid",), {})]:
+        for stage, argv, growth in stages:
             (base_s, base_mb), (new_s, new_mb) = (measure(os.path.join(top, "src"), *argv) for top in (tmp, ROOT))
             seconds = [s if isinstance(s, str) else round(s, 4) for s in (base_s, new_s)]
             rows.append({"stage": stage, **growth, "base_s": seconds[0], "change_s": seconds[1],
