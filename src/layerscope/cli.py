@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -27,6 +26,7 @@ from .probabilities import (
     hitting_times,
     mean_distance,
     p_in,
+    p_in_value,
     p_t,
     p_t_value,
 )
@@ -103,6 +103,7 @@ def _emit(fmt: str, headers: List[str], rows: List[List[str]], payload: dict, no
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
+        import csv  # only --format csv pays for it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(headers)
@@ -272,9 +273,9 @@ def cmd_markov(args) -> int:
     if p == 1:
         print("diverges: deflection probability 1 makes the diameter state absorbing")
         return 0
+    start = {i: p_in_value(family, args.d, args.D, i) for i in range(1, args.D + 1)}  # P_in's cap before P_t's work
     chain = build_chain(family, args.d, args.D, p)
     hops = hitting_times(chain)
-    start = chain.start_from_input_probabilities()
     overall = expected_hops(chain, start)
 
     headers = ["state"] + [str(j) for j in range(args.D + 1)]

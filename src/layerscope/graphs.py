@@ -15,9 +15,8 @@ All functions are pure and all returned collections are in deterministic
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .errors import (
     KautzRepeat,
@@ -54,19 +53,23 @@ def alphabet_size(family: Family, d: int) -> int:
     return d if family is Family.DEBRUIJN else d + 1
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """Family plus degree d >= 2 and diameter D >= 1."""
-
+class _Params(NamedTuple):
     family: Family
     d: int
     D: int
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"degree d must be >= 2, got {self.d}")
-        if self.D < 1:
-            raise ValueError(f"diameter D must be >= 1, got {self.D}")
+
+class GraphParams(_Params):
+    """Family plus degree d >= 2 and diameter D >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, d: int, D: int):
+        if d < 2:
+            raise ValueError(f"degree d must be >= 2, got {d}")
+        if D < 1:
+            raise ValueError(f"diameter D must be >= 1, got {D}")
+        return super().__new__(cls, family, d, D)
 
     @property
     def alphabet_size(self) -> int:
@@ -172,17 +175,21 @@ def landing_row(params: GraphParams, z: Vertex) -> bytes:
     return b"".join(reversed(blocks))  # r = 1 .. D
 
 
-@dataclass(frozen=True, eq=False)
 class ExplicitDigraph:
-    """Materialized vertex and adjacency lists for one concrete (d, D).
+    """Materialized vertex and adjacency lists for one concrete (d, D): succ[i] lists the vertex ids
+    adjacent from vertices[i], index maps a vertex tuple to its id. Immutable after construction, so
+    safe for concurrent reads, and equal only to itself: never hashed or compared by value."""
 
-    Immutable after construction; safe for concurrent reads.
-    """
+    __slots__ = ("params", "vertices", "succ", "index")
 
-    params: GraphParams
-    vertices: Tuple[Vertex, ...]
-    succ: Tuple[Tuple[int, ...], ...]  # succ[i] lists vertex ids adjacent from vertices[i]
-    index: dict  # vertex tuple -> id
+    def __init__(self, params: GraphParams, vertices: Tuple[Vertex, ...], succ: tuple, index: dict):
+        for name, value in zip(self.__slots__, (params, vertices, succ, index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to {name!r}: ExplicitDigraph is immutable")
+
+    __delattr__ = __setattr__  # value defaults, so del g.name raises too
 
     def index_of(self, v: Vertex) -> int:
         try:

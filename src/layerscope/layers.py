@@ -28,7 +28,6 @@ import the params ones. Every other predicate here reads one of the four.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -158,8 +157,7 @@ class IntersectionCase(Enum):
     BACK_ONLY = "back-only"  # no forward j; back equals the layer (d = 2 De Bruijn only)
 
 
-@dataclass
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     """Cardinality polynomials of S_i*(v) cap S_j*(w) for one (v, w, i).
 
     back is |S_i*(v) cap S_{i-1}*(w)| and forward is |S_i*(v) cap S_{j0}*(w)|,

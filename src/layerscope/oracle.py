@@ -14,11 +14,10 @@ verify_graph) and follows a packet's distance alone, on `graphs.landing_row`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import graphs, layers, probabilities, vertex_classes
 from .errors import ChainDiverges
@@ -136,8 +135,7 @@ def oracle_class_counts(g: ExplicitDigraph) -> Dict[Tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkStats:
+class WalkStats(NamedTuple):
     """Seeded Monte-Carlo estimate of expected hops under random deflection."""
 
     packets: int
@@ -238,8 +236,7 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     """One formula-vs-oracle mismatch (match reports are not retained)."""
 
     quantity: str
@@ -258,10 +255,11 @@ class OracleReport:
         }
 
 
-@dataclass
 class GridSummary:
-    checks: int = 0
-    mismatches: List[OracleReport] = field(default_factory=list)
+    __slots__ = ("checks", "mismatches")
+
+    def __init__(self):
+        self.checks, self.mismatches = 0, []  # checks counted, the OracleReports of those that failed
 
     def record(self, quantity: str, context: dict, formula, oracle) -> None:
         self.checks += 1

@@ -32,9 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import vertex_classes
 from .errors import ChainDiverges, InvalidRange, TooLarge
@@ -236,8 +235,7 @@ def p_t(family: Family, D: int, i: int, j: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+class ProbabilityTable(NamedTuple):
     """Input (key = i) or transition (key = (i, j)) probabilities for one family and D."""
 
     family: Family
@@ -267,8 +265,7 @@ def transition_table(family: Family, D: int) -> ProbabilityTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeflectionChain:
+class DeflectionChain(NamedTuple):
     """Markov chain on distances 0 .. D: state 0 absorbs; from i >= 1 the
     packet moves to i - 1 with probability 1 - p and to j with p * P_t(i, j)."""
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import TooLarge
 from .graphs import Family, Vertex, alphabet_size
@@ -51,8 +50,7 @@ def class_cardinality_poly(family: Family, s: int) -> IntPolynomial:
     return poly
 
 
-@dataclass(frozen=True, slots=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     pattern: Pattern
     family: Family
     cardinality: IntPolynomial

@@ -199,6 +199,21 @@ def test_pin_refuses_over_a_lowered_cap(capsys, monkeypatch):
     assert err.strip() == "error: P_in of K(d,9) needs more border-array nodes than the cap of 300"
 
 
+def test_markov_refuses_p_in_over_the_cap_before_the_chain(capsys, monkeypatch):
+    # the start vector's border-array search is the cheap refusal; the P_t class sums must not run first
+    for f in (probabilities._pair_counts, probabilities.p_in):
+        f.cache_clear()
+    monkeypatch.setattr("layerscope.vertex_classes.CLASS_CAP", 300)
+
+    def no_chain(*_):
+        raise AssertionError("the P_t chain was built before P_in was refused")
+
+    monkeypatch.setattr("layerscope.cli.build_chain", no_chain)
+    rc, out, err = run_cli(capsys, "markov", "-f", "K", "-d", "2", "-D", "9", "-p", "1/10")
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: P_in of K(d,9) needs more border-array nodes than the cap of 300"
+
+
 def _no_bfs(*_):
     raise AssertionError("BFS ran before the caps were checked")
 

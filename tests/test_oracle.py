@@ -224,8 +224,6 @@ def test_verify_graph_builds_one_report_list_per_arc_key(monkeypatch):
 def test_arcs_with_equal_keys_get_equal_reports(params):
     # verify_graph evaluates the formula cells of one arc per arc_report_key: sound only if
     # intersection_report_eval reads no more of v and w than the key holds
-    import dataclasses
-
     from layerscope.layers import intersection_report_eval, layer_masks, suffix_periods
 
     g = build_explicit(params)
@@ -238,7 +236,7 @@ def test_arcs_with_equal_keys_get_equal_reports(params):
             reports = intersection_report_eval(
                 params.family, params.D, v, w, periods[v_id], periods[w_id], masks, params.d == 2
             )
-            fields = [dataclasses.replace(r, v=(), w=()) for r in reports]
+            fields = [r._replace(v=(), w=()) for r in reports]
             key = arc_report_key(v, w, tuple(periods[v_id]), tuple(periods[w_id]))
             assert first.setdefault(key, (v, w, fields))[2] == fields, (first[key][:2], (v, w))
     assert len(first) < len(g.vertices) * params.d  # some arcs share a key, so the test compares them
@@ -405,8 +403,6 @@ def test_simulate_walk_deterministic_and_sane():
 # mismatch records (recorded before the oracle read its counts off the
 # distance table) on B(2,3) and K(2,3).
 def _inject(monkeypatch, quantity):
-    import dataclasses
-
     if quantity == "distance":
         from layerscope.graphs import distance_row as real_row
 
@@ -424,9 +420,9 @@ def _inject(monkeypatch, quantity):
         def broken(rep):
             i, v, w = rep.i, rep.v, rep.w
             if quantity == "intersection_count" and i == 2 and rep.back is not None and v[0] == w[-1]:
-                return dataclasses.replace(rep, back=None)
+                return rep._replace(back=None)
             if quantity == "unique_j0" and i == 1 and rep.forward_j == 1 and v[-1] == w[-1]:
-                return dataclasses.replace(rep, forward_j=2)
+                return rep._replace(forward_j=2)
             return rep
 
         def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):
@@ -626,8 +622,6 @@ FORWARD_FAULT_RECORDS = {
 
 @pytest.mark.parametrize("fault", sorted(FORWARD_FAULT_RECORDS))
 def test_verify_reports_forward_faults_exactly(monkeypatch, fault):
-    import dataclasses
-
     from layerscope.layers import LayerPolynomial
     from layerscope.layers import intersection_report_eval as real_reports
 
@@ -635,9 +629,9 @@ def test_verify_reports_forward_faults_exactly(monkeypatch, fault):
 
     def broken(rep):
         if fault == "zero_forward" and rep.forward_j is None:
-            return dataclasses.replace(rep, forward_j=rep.i, forward=zero)
+            return rep._replace(forward_j=rep.i, forward=zero)
         if fault == "j0_below_i" and rep.i == 2 and rep.forward_j == 2 and rep.back is not None:
-            return dataclasses.replace(rep, forward_j=1)
+            return rep._replace(forward_j=1)
         return rep
 
     def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):

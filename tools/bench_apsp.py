@@ -1,5 +1,5 @@
-"""Per-stage numbers for `verify` and P_in: the oracle's all-pairs DistanceTable, verify_graph, the
-default grid, and the input probabilities.
+"""Per-stage numbers for start-up, `verify` and P_in: the CLI's import, the oracle's all-pairs
+DistanceTable, verify_graph, the default grid, and the input probabilities.
 
 Each row is measured at a base revision and at the working tree, each in a fresh
 interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and n^2),
@@ -8,13 +8,17 @@ each (growth drivers arcs = n d and D), one `layerscope verify` over the default
 grid by the CLI, and the best of 3 full P_in rows with the caches cleared before
 each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver the classes
 with at most the alphabet's symbols, all of them when symbolic), in seconds; a
-revision that refuses a graph (TooLarge) reads "refused". The maxrss columns are
-ru_maxrss of that interpreter, in MB. Standard library only.
+revision that refuses a graph (TooLarge) reads "refused". The import rows are the
+best of 20 fresh interpreters, each timed from spawn to the end of `import
+layerscope.cli` on a fresh copy of `src`: with PYTHONDONTWRITEBYTECODE=1, so the
+package compiles from source every time, and without it, after one spawn that
+writes the bytecode. The maxrss columns are ru_maxrss of that interpreter, in MB.
+Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_27.json
+    python tools/bench_apsp.py BASE_REV BENCH_28.json
 """
 
-import io, json, os, platform, subprocess, sys, tarfile, tempfile
+import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
 
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
@@ -48,12 +52,35 @@ for _ in range(3 if args else 1):
     assert summary.ok
 print(json.dumps([best, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
 """
+IMPORT_CHILD = """import sys, time
+import layerscope.cli
+import json, resource
+print(json.dumps([time.monotonic() - float(sys.argv[1]), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+IMPORTS = 20
 
 
 def measure(src: str, *argv: str) -> list:
+    if argv[0] == "import":
+        return measure_import(src, argv[1] == "cached")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def measure_import(src: str, cached: bool) -> list:
+    """[seconds, maxrss] of the fastest of IMPORTS spawns that import the CLI from a copy of src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = shutil.copytree(src, os.path.join(tmp, "src"), ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=copy, PYTHONDONTWRITEBYTECODE="1")
+        if cached:
+            del env["PYTHONDONTWRITEBYTECODE"]
+        runs = []
+        for _ in range(IMPORTS + cached):  # a cached row's first spawn writes the bytecode
+            argv = [sys.executable, "-c", IMPORT_CHILD, repr(time.monotonic())]
+            out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+            runs.append(json.loads(out.stdout))
+        return min(runs[cached:])
 
 
 def git(*argv: str) -> bytes:
@@ -67,7 +94,8 @@ def drivers(stage: str, n: int, d: int, D: int) -> dict:
 def main(base: str, path: str) -> None:
     rev = git("rev-parse", base).decode().strip()
     n_of = {"B": lambda d, D: d**D, "K": lambda d, D: d**D + d ** (D - 1)}
-    stages = [(f"{stage} {f}({d},{D})", (stage, f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
+    stages = [(f"import layerscope.cli, {mode}", ("import", mode), {}) for mode in ("no bytecode written", "cached")]
+    stages += [(f"{stage} {f}({d},{D})", (stage, f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
               for stage in ("DistanceTable", "verify_graph") for f, d, D in GRAPHS]
     stages.append(("layerscope verify, default grid", ("grid",), {}))
     sys.path.insert(0, os.path.join(ROOT, "src"))
