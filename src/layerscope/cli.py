@@ -22,7 +22,6 @@ from .layers import layer_poly_eval
 from .oracle import _DEFAULT_GRID, simulate_walk_hops, verify_grid
 from .probabilities import (
     build_chain,
-    expected_hops,
     hitting_times,
     mean_distance,
     p_in,
@@ -276,7 +275,7 @@ def cmd_markov(args) -> int:
     start = {i: p_in_value(family, args.d, args.D, i) for i in range(1, args.D + 1)}  # P_in's cap before P_t's work
     chain = build_chain(family, args.d, args.D, p)
     hops = hitting_times(chain)
-    overall = expected_hops(chain, start)
+    overall = sum(w * hops[i] for i, w in start.items())  # expected_hops would solve the chain again
 
     headers = ["state"] + [str(j) for j in range(args.D + 1)]
     rows = [

@@ -207,6 +207,20 @@ def _divmod_int(num: IntPolynomial, den: IntPolynomial):
     return IntPolynomial(q), IntPolynomial(r)
 
 
+def _unpack(value: int, bits: int) -> IntPolynomial:
+    """The polynomial with value `value` at 2^bits and coefficients in [-2^(bits-1), 2^(bits-1)),
+    from balanced base-2^bits digits: inverts `evaluate(1 << bits)` when every |c| < 2^(bits-1)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        value = (value - c) >> bits
+    return IntPolynomial(digits)
+
+
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b), exact over Z by that scale."""
     return _divmod_int(a * b.leading ** (a.degree - b.degree + 1), b)[1]

@@ -20,11 +20,13 @@ j in [i, D] always sums to one.
 Per class and successor archetype w, each i reduces to integers: v's layer
 mask A_i and the forward rule (j0, m, t) of ``layers.forward_rule``. One pass
 over the classes, cached per (family, D, d), counts them per (i, j0, A_i, m, t,
-s) and makes one polynomial product per distinct (i, j0, A_i, m, t), then one
-fraction per distinct layer polynomial, not one per class. Every degree uses
-the d >= 3 criteria: where the d = 2 criteria differ (De Bruijn), the forward
-polynomial vanishes at d = 2. Symbolic tables carry the d >= 3 tag; a concrete
-degree evaluates the same sums in exact fractions.
+s) and sums class sizes times forward polynomials as integers packed at 2^K
+(Kronecker substitution), read back as one polynomial per distinct (i, j, layer
+polynomial); P_t then adds one fraction per layer polynomial, not one per class,
+and divides by (d - 1)|V| once per cell. Every degree uses the d >= 3 criteria:
+where the d = 2 criteria differ (De Bruijn), the forward polynomial vanishes at
+d = 2. Symbolic tables carry the d >= 3 tag; a concrete degree evaluates the
+same sums in exact fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import vertex_classes
 from .errors import ChainDiverges, InvalidRange, TooLarge
 from .graphs import Family, GraphParams, Vertex, alphabet_size, vertex_count_poly
 from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
-from .polynomials import IntPolynomial, RationalFunction
+from .polynomials import IntPolynomial, RationalFunction, _unpack
 from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
 
 # ---------------------------------------------------------------------------
@@ -159,23 +161,34 @@ def _class_terms(family: Family, D: int, pattern: Vertex, d: Optional[int], leve
 
 @functools.lru_cache(maxsize=None)
 def _transition_sums(family: Family, D: int, d: Optional[int] = None) -> List[Dict[int, dict]]:
-    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}: one pass counts
-    the class terms per (i, j0, A_i, m, t, s_eff), then one product per (i, j0, A_i,
-    m, t) of the forward polynomial with the summed class sizes. Over every class
-    when d is None; else over the classes realizable at d."""
+    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}, over every class when d is
+    None, else over the classes realizable at d. One pass counts the class terms per (i, j0, A_i,
+    m, t, s_eff); class sizes times forward polynomials are then summed as integers packed at 2^K
+    and read back once per (i, j, layer). A coefficient read back is at most terms * max_s
+    |card_s|_1 * (D + 2) in size (a forward polynomial's 1-norm is at most i + 2), below 2^(K - 1)."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
     levels = range(1, D + 1)
     counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
-    sizes: Dict[tuple, IntPolynomial] = {}  # summed class sizes per (i, j0, A_i, m, t)
-    for (*key, s), count in counts.items():
-        key = tuple(key)
-        sizes[key] = sizes.get(key, IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
-    sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
+    cards = {s: class_cardinality_poly(family, s) for s in {term[-1] for term in counts}}
+    norm = max((sum(map(abs, card.coeffs)) for card in cards.values()), default=0)
+    K = (sum(counts.values()) * norm * (D + 2)).bit_length() + 2
+    packed = {s: card.evaluate(1 << K) for s, card in cards.items()}
+    sizes: Dict[tuple, int] = {}  # summed class sizes per (i, j0, A_i, m, t), packed
+    for term, count in counts.items():
+        key = term[:-1]
+        sizes[key] = sizes.get(key, 0) + count * packed[term[-1]]
+    del counts  # free each stage once the next is built: at a concrete d they are about as large
+    forwards: Dict[tuple, int] = {}  # packed forward polynomials per (i, m, t)
+    nums: Dict[tuple, int] = {}  # packed numerators per (i, j0, layer polynomial)
     for (i, j, a, m, t), size in sizes.items():
-        layer = LayerPolynomial.from_mask(i, a).to_poly()
-        num = size * LayerPolynomial.from_mask(i, m, t).to_poly()
-        by_layer = sums[i].setdefault(j, {})
-        by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + num
+        if (i, m, t) not in forwards:
+            forwards[i, m, t] = LayerPolynomial.from_mask(i, m, t).evaluate(1 << K)
+        key = i, j, LayerPolynomial.from_mask(i, a)
+        nums[key] = nums.get(key, 0) + size * forwards[i, m, t]
+    del sizes
+    sums: List[Dict[int, Dict[IntPolynomial, IntPolynomial]]] = [{} for _ in range(D + 1)]
+    for (i, j, layer), num in nums.items():
+        sums[i].setdefault(j, {})[layer.to_poly()] = _unpack(num, K)
     return sums
 
 
@@ -196,16 +209,14 @@ def p_t_conditional(family: Family, D: int, c: VertexClass, i: int, j: int) -> R
 def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
     """Symbolic P_t(i, j) under the d >= 3 criteria.
 
-    One canonical rational function per distinct layer polynomial at i (a few
-    dozen at most) rather than one per class; the canonical form is unique,
-    so the order of summation does not show in the result.
+    One canonical form per distinct layer polynomial at i (a few dozen at
+    most) rather than one per class, then one for the factor (d - 1)|V|; the
+    canonical form is unique, so the order of summation does not show in the result.
     """
-    total_poly = vertex_count_poly(family, D)
-    dm1 = IntPolynomial((-1, 1))
     acc = RationalFunction.zero()
     for layer, num in _transition_sums(family, D)[i].get(j, {}).items():
-        acc = acc + RationalFunction(num, dm1 * layer * total_poly)
-    return acc
+        acc = RationalFunction(acc.num * layer + num * acc.den, acc.den * layer)
+    return RationalFunction(acc.num, acc.den * IntPolynomial((-1, 1)) * vertex_count_poly(family, D))
 
 
 @functools.lru_cache(maxsize=None)

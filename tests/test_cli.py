@@ -214,6 +214,24 @@ def test_markov_refuses_p_in_over_the_cap_before_the_chain(capsys, monkeypatch):
     assert err.strip() == "error: P_in of K(d,9) needs more border-array nodes than the cap of 300"
 
 
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--monte-carlo", "200", "--seed", "1"]])
+def test_markov_solves_the_chain_once(capsys, monkeypatch, extra):
+    calls = []
+    solve = probabilities.hitting_times
+
+    def counted(chain):
+        calls.append(chain.D)
+        return solve(chain)
+
+    # `from .probabilities import hitting_times` copies the binding, so patch every module holding it
+    for module in (probabilities, layerscope.cli):
+        if getattr(module, "hitting_times", None) is solve:
+            monkeypatch.setattr(module, "hitting_times", counted)
+    rc, out, _ = run_cli(capsys, "markov", "-f", "K", "-d", "3", "-D", "4", "-p", "1/10", *extra)
+    assert rc == 0 and out
+    assert calls == [4]
+
+
 def _no_bfs(*_):
     raise AssertionError("BFS ran before the caps were checked")
 

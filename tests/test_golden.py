@@ -25,6 +25,7 @@ GOLDEN = {
     "pt -f B -D 8": "b9e06180158cd4191cf55ccfa7bd0aba7861c12bade307799162ece35929b5cf",
     "pt -f B -D 8 -d 2 --format csv": "5414f9f1da724239d373fda1525ea273b47e0e871ea3f2d3b7f1cccb45393e4e",
     "pt -f K -D 8 -d 3 --format json": "261e9d06a3a378a41671364482b3f238041fa6b9240583ab7238ae6fbeddc3a9",
+    "pt -f K -D 9": "6f7a6fee22f6eade36691f2479259de62378c3001b3462beb881c6ed840850d0",
     "markov -f K -d 3 -D 4 -p 1/10 --format json": "fb1abd1df5422660903a5cb4d5aae1972f6f641e5131cd96ac30f37c5749c4a5",
     "verify -f B -d 2 -D 5": "c6e9d21a896375004724113b1dc343b6f150356bf4bb055a9edb13d6fa8886ab",
     "verify -f K -d 3 -D 3": "024c91aa237fbba11f433e2a81df98343a23ac136d2993fc20f212f7b47150d3",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from layerscope import polynomials
 from layerscope.errors import PoleAtValue, ZeroDenominator
-from layerscope.polynomials import IntPolynomial, RationalFunction, poly_gcd
+from layerscope.polynomials import IntPolynomial, RationalFunction, _unpack, poly_gcd
 
 P = IntPolynomial
 
@@ -258,3 +258,23 @@ def test_poly_gcd_matches_pseudo_remainder_reference(a, b, g, ka, kb):
             assert p.is_zero or p.divides_exactly(got) * got == p
         if not g.is_zero:
             assert got.divides_exactly(g.primitive()) * g.primitive() == got
+
+
+# Kronecker substitution: packing is evaluate(1 << bits), unpacking reads balanced digits
+_coeff_lists = st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80)), max_size=10)
+
+
+@_PROPERTY
+@given(_coeff_lists, st.integers(0, 3), st.integers(0, 40))
+def test_unpack_inverts_packing_below_half_the_base(coeffs, trailing_zeros, slack):
+    coeffs = coeffs + [0] * trailing_zeros
+    bits = max(map(abs, coeffs), default=0).bit_length() + 1 + slack  # 2^(bits - 1) > max |c|
+    assert _unpack(P(coeffs).evaluate(1 << bits), bits) == P(coeffs)
+    assert _unpack(0, bits) == P.zero()
+
+
+def test_unpack_needs_coefficients_below_half_the_base():
+    # a coefficient of 2^(bits - 1) reads back as -2^(bits - 1) with a carry into the next digit
+    bits = 8
+    coeffs = (3, -5, 1 << (bits - 1))
+    assert _unpack(P(coeffs).evaluate(1 << bits), bits) == P((3, -5, -(1 << (bits - 1)), 1)) != P(coeffs)

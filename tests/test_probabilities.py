@@ -42,7 +42,7 @@ from layerscope.probabilities import (
     transition_table,
 )
 from layerscope import vertex_classes
-from layerscope.probabilities import _pair_counts, _transition_sums
+from layerscope.probabilities import _class_terms, _pair_counts, _transition_sums
 from layerscope.vertex_classes import canonical_pattern, class_cardinality_poly, classes_realizable, enumerate_classes
 
 B, K = Family.DEBRUIJN, Family.KAUTZ
@@ -384,6 +384,34 @@ def test_transition_sums_match_per_report_reference(family, d):
     # against BFS.
     for D in range(1, 8):
         assert _transition_sums(family, D, d) == _reference_transition_sums(family, D, d), D
+
+
+def _polynomial_transition_sums(family, D, d):
+    """_transition_sums in IntPolynomial arithmetic: the class terms counted per (i, j0, A_i, m, t,
+    s_eff), one polynomial sum of class sizes and one product with the forward polynomial per
+    (i, j0, A_i, m, t), summed per layer polynomial. The kernel summed this way before it packed
+    its sums at 2^K, and is kept here as its reference."""
+    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+    levels = range(1, D + 1)
+    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
+    sizes = {}
+    for (*key, s), count in counts.items():
+        key = tuple(key)
+        sizes[key] = sizes.get(key, IntPolynomial.zero()) + count * class_cardinality_poly(family, s)
+    sums = [{} for _ in range(D + 1)]
+    for (i, j, a, m, t), size in sizes.items():
+        layer = LayerPolynomial.from_mask(i, a).to_poly()
+        num = size * LayerPolynomial.from_mask(i, m, t).to_poly()
+        by_layer = sums[i].setdefault(j, {})
+        by_layer[layer] = by_layer.get(layer, IntPolynomial.zero()) + num
+    return sums
+
+
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [None, 2, 3, 4])
+def test_packed_transition_sums_match_the_polynomial_sums(family, d):
+    for D in range(1, 9):
+        assert _transition_sums(family, D, d) == _polynomial_transition_sums(family, D, d), D
 
 
 @pytest.mark.parametrize("family", [B, K])

@@ -1,5 +1,6 @@
-"""Per-stage numbers for start-up, `verify` and P_in: the CLI's import, the oracle's all-pairs
-DistanceTable, verify_graph, the default grid, and the input probabilities.
+"""Per-stage numbers for start-up, `verify`, P_in and P_t: the CLI's import, the oracle's
+all-pairs DistanceTable, verify_graph, the default grid, and the input and transition
+probabilities.
 
 Each row is measured at a base revision and at the working tree, each in a fresh
 interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and n^2),
@@ -7,28 +8,31 @@ the best of 3 verify_graph runs per graph with the class-sum caches cleared befo
 each (growth drivers arcs = n d and D), one `layerscope verify` over the default
 grid by the CLI, and the best of 3 full P_in rows with the caches cleared before
 each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver the classes
-with at most the alphabet's symbols, all of them when symbolic), in seconds; a
-revision that refuses a graph (TooLarge) reads "refused". The import rows are the
+with at most the alphabet's symbols, all of them when symbolic), and the best of 3
+symbolic P_t tables (`transition_table`, the best of 1 for B(d,9)) with the caches
+cleared before each (growth driver the class count), in seconds; a revision that
+refuses a graph (TooLarge) reads "refused". The import rows are the
 best of 20 fresh interpreters, each timed from spawn to the end of `import
 layerscope.cli` on a fresh copy of `src`: with PYTHONDONTWRITEBYTECODE=1, so the
 package compiles from source every time, and without it, after one spawn that
 writes the bytecode. The maxrss columns are ru_maxrss of that interpreter, in MB.
 Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_28.json
+    python tools/bench_apsp.py BASE_REV BENCH_29.json
 """
 
 import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
 
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
+P_T = [("B", 6, 3), ("K", 7, 3), ("B", 8, 3), ("K", 9, 3), ("B", 9, 1)]  # (family, D, runs)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
 from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
-stage, args, best = sys.argv[1], sys.argv[2:], float("inf")
+stage, runs, args, best = sys.argv[1], int(sys.argv[2]), sys.argv[3:], float("inf")
 family, numbers = args and graphs.Family.parse(args[0]), [*map(int, args[1:])]
 params = stage in ("DistanceTable", "verify_graph") and graphs.GraphParams(family, *numbers)
-for _ in range(3 if args else 1):
+for _ in range(runs):
     for f in [*vars(probabilities).values(), *vars(vertex_classes).values()]:
         getattr(f, "cache_clear", lambda: None)()
     g, summary = stage == "DistanceTable" and graphs.build_explicit(params), oracle.GridSummary()
@@ -43,6 +47,8 @@ for _ in range(3 if args else 1):
                 [probabilities.p_in(family, numbers[0], i) for i in range(1, numbers[0] + 1)]
             elif stage == "p_in_value":
                 [probabilities.p_in_value(family, *numbers, i) for i in range(1, numbers[1] + 1)]
+            elif stage == "transition_table":
+                probabilities.transition_table(family, numbers[0])
             else:
                 cli.main(["verify"])
     except errors.TooLarge:
@@ -95,9 +101,9 @@ def main(base: str, path: str) -> None:
     rev = git("rev-parse", base).decode().strip()
     n_of = {"B": lambda d, D: d**D, "K": lambda d, D: d**D + d ** (D - 1)}
     stages = [(f"import layerscope.cli, {mode}", ("import", mode), {}) for mode in ("no bytecode written", "cached")]
-    stages += [(f"{stage} {f}({d},{D})", (stage, f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
+    stages += [(f"{stage} {f}({d},{D})", (stage, "3", f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
               for stage in ("DistanceTable", "verify_graph") for f, d, D in GRAPHS]
-    stages.append(("layerscope verify, default grid", ("grid",), {}))
+    stages.append(("layerscope verify, default grid", ("grid", "1"), {}))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from layerscope.graphs import Family, alphabet_size
     from layerscope.vertex_classes import class_count
@@ -105,10 +111,13 @@ def main(base: str, path: str) -> None:
     for f, d, D in P_IN:
         family = Family.parse(f)
         if d is None:
-            stages.append((f"p_in {f}(d,{D})", ("p_in", f, str(D)), {"class_count": class_count(family, D)}))
+            stages.append((f"p_in {f}(d,{D})", ("p_in", "3", f, str(D)), {"class_count": class_count(family, D)}))
         else:
             growth = {"class_count": class_count(family, D, alphabet_size(family, d))}
-            stages.append((f"p_in_value {f}({d},{D})", ("p_in_value", f, str(d), str(D)), growth))
+            stages.append((f"p_in_value {f}({d},{D})", ("p_in_value", "3", f, str(d), str(D)), growth))
+    for f, D, runs in P_T:
+        growth = {"class_count": class_count(Family.parse(f), D)}
+        stages.append((f"transition_table {f}(d,{D})", ("transition_table", str(runs), f, str(D)), growth))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
