@@ -17,7 +17,6 @@ from .errors import (
     PoleAtValue,
     SymbolOutOfRange,
     TooLarge,
-    VertexNotInGraph,
     ZeroDenominator,
 )
 from .graphs import (

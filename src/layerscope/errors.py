@@ -21,10 +21,6 @@ class TooLarge(LayerscopeError):
     """A computation exceeds a resource cap (n^2 distance bytes, vertex classes, border arrays or walk hops)."""
 
 
-class VertexNotInGraph(LayerscopeError):
-    """Vertex is not part of the materialized digraph."""
-
-
 class IndexOutOfRange(LayerscopeError):
     """Layer or intersection index outside its legal range."""
 

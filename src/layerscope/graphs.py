@@ -16,15 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
-from .errors import (
-    KautzRepeat,
-    LengthMismatch,
-    SymbolOutOfRange,
-    TooLarge,
-    VertexNotInGraph,
-)
+from .errors import KautzRepeat, LengthMismatch, SymbolOutOfRange, TooLarge
 
 Vertex = Tuple[int, ...]
 
@@ -191,30 +185,14 @@ class ExplicitDigraph:
 
     __delattr__ = __setattr__  # value defaults, so del g.name raises too
 
-    def index_of(self, v: Vertex) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise VertexNotInGraph(f"{v} is not a vertex of {self.params}") from None
 
-
-def _enumerate_vertices(params: GraphParams) -> Iterator[Vertex]:
-    """All valid vertices in lexicographic order."""
-    size = params.alphabet_size
-    kautz = params.family is Family.KAUTZ
-    word = [0] * params.D
-
-    def extend(pos: int) -> Iterator[Vertex]:
-        if pos == params.D:
-            yield tuple(word)
-            return
-        for s in range(size):
-            if kautz and pos > 0 and s == word[pos - 1]:
-                continue
-            word[pos] = s
-            yield from extend(pos + 1)
-
-    yield from extend(0)
+def _enumerate_vertices(params: GraphParams) -> List[Vertex]:
+    """All valid vertices in lexicographic order, extended one symbol per level."""
+    size, kautz = params.alphabet_size, params.family is Family.KAUTZ
+    words = [(s,) for s in range(size)]
+    for _ in range(params.D - 1):
+        words = [w + (x,) for w in words for x in range(size) if not (kautz and x == w[-1])]
+    return words
 
 
 def build_explicit(params: GraphParams) -> ExplicitDigraph:

@@ -307,8 +307,7 @@ def codes_hold(codes: bytes, v_id: int, D: int, expected: Tuple[Tuple[int, int],
 def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     """Run every formula-vs-oracle check for one (family, d, D): the `_check_*` of each quantity, on one table."""
     g = build_explicit(params)  # refused over APSP_CAP before any vertex is built
-    realizable = vertex_classes.enumerate_classes(params.family, params.D, params.alphabet_size)  # the class cap
-    table = DistanceTable(g)  # the BFS, after both refusals
+    table = DistanceTable(g)  # the BFS; its n <= 16,384 vertices bound the realizable classes far below CLASS_CAP
     ctx = {"family": str(params.family), "d": params.d, "D": params.D}
     summary.record("vertex_count", ctx, params.vertex_count, len(g.vertices))
     _check_distances(g, table.rows, summary, ctx)
@@ -317,7 +316,7 @@ def verify_graph(params: GraphParams, summary: GridSummary) -> None:
     counts = [table.layer_counts(v_id) for v_id in range(len(g.vertices))]
     _check_layer_counts(g, masks, counts, summary, ctx)
     oracle_pt = _transition_table(params, len(g.vertices), _check_arcs(g, table, periods, masks, counts, summary, ctx))
-    _check_class_sizes(g, realizable, summary, ctx)
+    _check_class_sizes(g, summary, ctx)
     _check_p_in(params, counts, summary, ctx)
     _check_p_t(params, oracle_pt, summary, ctx)
 
@@ -393,17 +392,14 @@ def _check_arcs(
         yield v_id, landed, counts[v_id]
 
 
-def _check_class_sizes(g: ExplicitDigraph, realizable: list, summary: GridSummary, ctx: dict) -> None:
-    """Class cardinalities over the classes realizable at d. The patterns with more symbols have size 0 at d when
-    class_cardinality_poly says so, and no vertex when all observed patterns are realizable: then each is one
-    passing check, counted and not built. Else every pattern is built and checked, under the class cap."""
+def _check_class_sizes(g: ExplicitDigraph, summary: GridSummary, ctx: dict) -> None:
+    """Class cardinalities over the classes with at most `bound` symbols: the largest s whose class size is not 0
+    at d, or the symbols of an observed pattern if more (min(alphabet, D) when both sides are right). A pattern
+    past the bound has size 0 and no vertex: one passing check, counted and not built."""
     family, d, D = g.params.family, g.params.d, g.params.D
     observed = oracle_class_counts(g)
-    checked = realizable
-    if not set(observed) <= {c.pattern for c in realizable} or any(
-        vertex_classes.class_cardinality_poly(family, s).evaluate(d) for s in range(g.params.alphabet_size + 1, D + 1)
-    ):
-        checked = vertex_classes.enumerate_classes(family, D)
+    sized = [s for s in range(D + 1) if vertex_classes.class_cardinality_poly(family, s).evaluate(d)]  # s = 0: 1
+    checked = vertex_classes.enumerate_classes(family, D, max(sized + [max(p) + 1 for p in observed]))
     summary.checks += vertex_classes.class_count(family, D)  # one per pattern, built or not
     for c in checked:
         formula, oracle = c.cardinality.evaluate(d), observed.get(c.pattern, 0)

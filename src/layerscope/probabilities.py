@@ -19,11 +19,15 @@ j in [i, D] always sums to one.
 
 Per class and successor archetype w, each i reduces to integers: v's layer
 mask A_i and the forward rule (j0, m, t) of ``layers.forward_rule``. One pass
-over the classes, cached per (family, D, d), counts them per (i, j0, A_i, m, t,
-s) and sums class sizes times forward polynomials as integers packed at 2^K
-(Kronecker substitution), read back as one polynomial per distinct (i, j, layer
-polynomial); P_t then adds one fraction per layer polynomial, not one per class,
-and divides by (d - 1)|V| once per cell. Every degree uses the d >= 3 criteria:
+over the classes, cached per (family, D, class bound), counts them per (i, j0,
+A_i, m, t, s) and sums class sizes times forward polynomials as integers packed
+at 2^K (Kronecker substitution), read back as one polynomial per distinct (i, j,
+layer polynomial); P_t then adds one fraction per layer polynomial, not one per
+class, and divides by (d - 1)|V| once per cell. The class bound, the most symbols
+a class may use, is the one choice between symbolic and concrete: D + 1 admits
+every class and fresh symbol, and a concrete degree takes min(alphabet, D + 1),
+which leaves out only terms of size 0 at d, so every degree whose alphabet holds
+D + 1 symbols reads the symbolic sums. Every degree uses the d >= 3 criteria:
 where the d = 2 criteria differ (De Bruijn), the forward polynomial vanishes at
 d = 2. Symbolic tables carry the d >= 3 tag; a concrete degree evaluates the
 same sums in exact fractions.
@@ -42,7 +46,7 @@ from .errors import ChainDiverges, InvalidRange, TooLarge
 from .graphs import Family, GraphParams, Vertex, alphabet_size, vertex_count_poly
 from .layers import LayerPolynomial, forward_rule, layer_masks, layer_poly_eval, suffix_periods
 from .polynomials import IntPolynomial, RationalFunction, _unpack
-from .vertex_classes import VertexClass, class_cardinality_poly, classes_realizable, enumerate_classes
+from .vertex_classes import VertexClass, class_cardinality_poly, enumerate_classes
 
 # ---------------------------------------------------------------------------
 # input probabilities
@@ -137,19 +141,18 @@ def mean_distance(family: Family, D: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _class_terms(family: Family, D: int, pattern: Vertex, d: Optional[int], levels: Iterable[int]) -> Iterator[tuple]:
+def _class_terms(family: Family, D: int, pattern: Vertex, bound: int, levels: Iterable[int]) -> Iterator[tuple]:
     """(i, j0, A_i, m, t, s_eff) for each i in levels and successor archetype w = v[1:] + x.
 
-    A symbol x already in v gives one successor, weight 1, s_eff = s. One fresh
-    symbol stands for the d - s (De Bruijn) or d + 1 - s (Kautz) others, and that
-    weight times |c| is the class size at s_eff = s + 1; at a concrete d it is
-    dropped where the weight is 0.
+    A symbol x already in v gives one successor, weight 1, s_eff = s. While s < bound,
+    one fresh symbol stands for the d - s (De Bruijn) or d + 1 - s (Kautz) others, and
+    that weight times |c| is the class size at s_eff = s + 1; a concrete alphabet of
+    bound symbols has no fresh one left at s = bound.
     """
     s = max(pattern) + 1
     pi_v = suffix_periods(pattern)
     masks = layer_masks(family, D, pi_v)
-    alphabet = s + 1 if d is None else alphabet_size(family, d)
-    for x in range(min(s + 1, alphabet)):
+    for x in range(min(s + 1, bound)):
         if family is Family.KAUTZ and x == pattern[-1]:
             continue
         pi_w = suffix_periods(pattern[1:] + (x,))
@@ -160,15 +163,16 @@ def _class_terms(family: Family, D: int, pattern: Vertex, d: Optional[int], leve
 
 
 @functools.lru_cache(maxsize=None)
-def _transition_sums(family: Family, D: int, d: Optional[int] = None) -> List[Dict[int, dict]]:
-    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}}, over every class when d is
-    None, else over the classes realizable at d. One pass counts the class terms per (i, j0, A_i,
-    m, t, s_eff); class sizes times forward polynomials are then summed as integers packed at 2^K
-    and read back once per (i, j, layer). A coefficient read back is at most terms * max_s
-    |card_s|_1 * (D + 2) in size (a forward polynomial's 1-norm is at most i + 2), below 2^(K - 1)."""
-    classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
+def _transition_sums(family: Family, D: int, bound: int) -> List[Dict[int, dict]]:
+    """sums[i] = {j: {layer polynomial at i: sum_c |c| * row_c[j]}} over the classes, and fresh
+    successor symbols, with at most bound symbols: D + 1 for every d, min(alphabet, D + 1) at one
+    degree. One pass counts the class terms per (i, j0, A_i, m, t, s_eff); class sizes times
+    forward polynomials are then summed as integers packed at 2^K and read back once per (i, j,
+    layer). A coefficient read back is at most terms * max_s |card_s|_1 * (D + 2) in size (a
+    forward polynomial's 1-norm is at most i + 2), below 2^(K - 1)."""
+    classes = enumerate_classes(family, D, bound)
     levels = range(1, D + 1)
-    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
+    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, bound, levels))
     cards = {s: class_cardinality_poly(family, s) for s in {term[-1] for term in counts}}
     norm = max((sum(map(abs, card.coeffs)) for card in cards.values()), default=0)
     K = (sum(counts.values()) * norm * (D + 2)).bit_length() + 2
@@ -197,7 +201,7 @@ def p_t_conditional(family: Family, D: int, c: VertexClass, i: int, j: int) -> R
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
     num = IntPolynomial.zero()  # |c| * sum_w weight(w) |S_i*(v) cap S_j*(w)|
-    for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, None, (i,)):
+    for _, j0, _, m, t, s in _class_terms(family, D, c.pattern, D + 1, (i,)):
         if j0 == j:
             num = num + class_cardinality_poly(family, s) * LayerPolynomial.from_mask(i, m, t).to_poly()
     layer = layer_poly_eval(family, D, c.pattern, i).to_poly()
@@ -214,7 +218,7 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
     canonical form is unique, so the order of summation does not show in the result.
     """
     acc = RationalFunction.zero()
-    for layer, num in _transition_sums(family, D)[i].get(j, {}).items():
+    for layer, num in _transition_sums(family, D, D + 1)[i].get(j, {}).items():
         acc = RationalFunction(acc.num * layer + num * acc.den, acc.den * layer)
     return RationalFunction(acc.num, acc.den * IntPolynomial((-1, 1)) * vertex_count_poly(family, D))
 
@@ -223,15 +227,17 @@ def _p_t_symbolic(family: Family, D: int, i: int, j: int) -> RationalFunction:
 def p_t_value(family: Family, d: int, D: int, i: int, j: int) -> Fraction:
     """Exact P_t(i, j) at a concrete degree d >= 2.
 
-    Evaluates the per-layer sums of the class kernel at d, over the classes
-    realizable there; at d = 2 the d >= 3 criteria give the same values.
+    Evaluates the per-layer sums of the class kernel at d, under the class bound
+    min(alphabet, D + 1): the symbolic sums wherever the alphabet holds D + 1
+    symbols. At d = 2 the d >= 3 criteria give the same values.
     """
     if not 1 <= i <= j <= D:
         raise InvalidRange(f"need 1 <= i <= j <= D, got i={i}, j={j}, D={D}")
+    n = GraphParams(family, d, D).vertex_count  # raises ValueError below d = 2
     total = Fraction(0)
-    for layer, num in _transition_sums(family, D, d)[i].get(j, {}).items():
+    for layer, num in _transition_sums(family, D, min(alphabet_size(family, d), D + 1))[i].get(j, {}).items():
         total += Fraction(num.evaluate(d), layer.evaluate(d))
-    return total / ((d - 1) * vertex_count_poly(family, D).evaluate(d))
+    return total / ((d - 1) * n)
 
 
 def p_t(family: Family, D: int, i: int, j: int) -> RationalFunction:

@@ -125,7 +125,8 @@ def _build_classes(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, 
 
 
 def classes_realizable(family: Family, D: int, d: int) -> List[VertexClass]:
-    """Classes with at least one vertex at concrete degree d >= 2, in a new list."""
+    """Classes with at least one vertex at concrete degree d >= 2, in a new list. No package code calls it: the
+    class sums and verify pass enumerate_classes a class bound. It stays for bench/spans.py's realizable ratio."""
     if d < 2:
         raise ValueError(f"degree d must be >= 2, got {d}")
     return list(enumerate_classes(family, D, alphabet_size(family, d)))

@@ -34,6 +34,10 @@ GOLDEN = {
     # deflections among several links, and a degree above 256
     "markov -f K -d 3 -D 4 -p 1/2 --monte-carlo 2000 --seed 9 --format json": "b249b41ddaea22418d7a934133366de3e2c5dcaa87dc47fc111f75c02e1c0a30",
     "markov -f B -d 300 -D 1 -p 1/10 --monte-carlo 3000 --seed 7": "c21b41b9fc284ac21fc997f96e18ee534579fd205ad06258e42a115e2a16089e",
+    # alphabets of D + 1 symbols or more, where a concrete degree reads the symbolic class sums
+    "pt -f B -D 6 -d 7 --format json": "6bb5b6696b19bfd81a631ff49e43f685cd407579e475abf773d86b00877dffc7",
+    "pt -f K -D 7 -d 7 --format csv": "332039ec8e64b890daa9ba13b7d5da6eeccf1fa7a678e712f0fc7f36fb77e418",
+    "markov -f B -d 9 -D 7 -p 1/10": "6627fb58852eccb29ed5d0dff8f218d0d7978c8bc58f9825e5bddfc2308f0e83",
 }
 
 

@@ -9,7 +9,6 @@ from layerscope.errors import (
     LengthMismatch,
     SymbolOutOfRange,
     TooLarge,
-    VertexNotInGraph,
 )
 from layerscope.graphs import (
     Family,
@@ -184,13 +183,6 @@ def test_build_explicit_cap(monkeypatch):
     monkeypatch.setattr("layerscope.graphs._enumerate_vertices", no_vertices)
     with pytest.raises(TooLarge, match="K\\(5,6\\) needs n\\^2 = 351,562,500 bytes, above the APSP cap of 268,435,456"):
         build_explicit(GraphParams(K, 5, 6))
-
-
-def test_index_of_rejects_a_vertex_not_in_the_graph():
-    g = build_explicit(GraphParams(B, 2, 4))
-    assert g.index_of((0, 1, 1, 0)) == 6
-    with pytest.raises(VertexNotInGraph):
-        g.index_of((9, 9, 9, 9))
 
 
 def test_vertex_serialization():

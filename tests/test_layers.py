@@ -257,7 +257,7 @@ def test_intersection_report_back_only():
     rep5 = intersection_report(b25, v5, w5, 3)
     assert rep5.case is IntersectionCase.BACK_ONLY
     g = build_explicit(b25)
-    hist = DistanceTable(g).arc_histogram(g.index_of(v5), g.index_of(w5))
+    hist = DistanceTable(g).arc_histogram(g.index[v5], g.index[w5])
     assert hist[(3, 2)] == rep5.back.evaluate(2)
     for j in range(3, 6):
         assert hist[(3, j)] == 0

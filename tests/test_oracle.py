@@ -26,11 +26,11 @@ DEFAULT_GRID = [GraphParams(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in
 
 
 def _layer_counts(g, v):
-    return DistanceTable(g).layer_counts(g.index_of(v))
+    return DistanceTable(g).layer_counts(g.index[v])
 
 
 def _intersection(g, v, w, i, j):
-    return DistanceTable(g).arc_histogram(g.index_of(v), g.index_of(w))[(i, j)]
+    return DistanceTable(g).arc_histogram(g.index[v], g.index[w])[(i, j)]
 
 
 def _p_in(table, i):
@@ -408,7 +408,7 @@ def _inject(monkeypatch, quantity):
 
         def broken_row(params, v):
             row = real_row(params, v)
-            z_id = build_explicit(params).index_of(v[::-1])
+            z_id = build_explicit(params).index[v[::-1]]
             if row[z_id] == 2:
                 row[z_id] = 3
             return row
@@ -530,6 +530,35 @@ def test_verify_reports_injected_class_cardinality_fault_exactly(monkeypatch):
             "class_cardinality family=K d=2 D=3 pattern=012 6 7",
         ],
     )
+
+
+# The same fault on B(2,6) under a class cap between class_count(B, 6, 3) = 122 and Bell(6) = 203: the check
+# builds the classes of at most 3 symbols, the most any size or vertex needs, and reports the 90 with three.
+def test_a_class_size_fault_is_reported_under_a_class_cap_below_bell(monkeypatch):
+    from layerscope import probabilities, vertex_classes
+    from layerscope.polynomials import IntPolynomial
+
+    real_poly = vertex_classes.class_cardinality_poly
+
+    def broken_poly(family, s):
+        return real_poly(family, s) + IntPolynomial.one() if s == 3 else real_poly(family, s)
+
+    def clear_caches():
+        for f in [*vars(probabilities).values(), *vars(vertex_classes).values()]:
+            getattr(f, "cache_clear", lambda: None)()
+
+    clear_caches()
+    monkeypatch.setattr(vertex_classes, "class_cardinality_poly", broken_poly)
+    monkeypatch.setattr(vertex_classes, "CLASS_CAP", 150)
+    summary = GridSummary()
+    try:
+        verify_graph(GraphParams(B, 2, 6), summary)
+    finally:
+        clear_caches()
+    assert vertex_classes.class_count(B, 6, 3) == 122 < 150 < vertex_classes.class_count(B, 6) == 203
+    records = _records(summary)
+    assert (summary.checks, len(records)) == (9000, 90)
+    assert all(r.startswith("class_cardinality family=B d=2 D=6 pattern=") and r.endswith(" 1 0") for r in records)
 
 
 # Formula-side fault on the class sizes: size polynomials one too large at s = 3 symbols, one more

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from layerscope.errors import ChainDiverges, InvalidRange, TooLarge
-from layerscope.graphs import Family, GraphParams, build_explicit, distance_row, vertex_count_poly
+from layerscope.graphs import Family, GraphParams, alphabet_size, build_explicit, distance_row, vertex_count_poly
 from layerscope.oracle import DistanceTable, oracle_transition_table
 from layerscope.layers import (
     LayerPolynomial,
@@ -50,6 +50,11 @@ B, K = Family.DEBRUIJN, Family.KAUTZ
 
 def _class(family, D, pattern):
     return next(c for c in enumerate_classes(family, D) if c.pattern == pattern)
+
+
+def _bound(family, D, d):
+    """The class bound the kernel runs under: D + 1 when symbolic (d is None), min(alphabet, D + 1) at d."""
+    return D + 1 if d is None else min(alphabet_size(family, d), D + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,8 @@ def test_p_t_conditional_builds_one_report_per_successor_archetype(
     monkeypatch.setattr(probabilities, "forward_rule", counting)
     if d is None:
         p_t_conditional(family, len(pattern), _class(family, len(pattern), pattern), 2, 4)
-    else:  # a concrete degree reaches the class terms through _transition_sums(family, D, d)
-        list(probabilities._class_terms(family, len(pattern), pattern, d, (2,)))
+    else:  # a concrete degree reaches the class terms through _transition_sums under its class bound
+        list(probabilities._class_terms(family, len(pattern), pattern, _bound(family, len(pattern), d), (2,)))
     assert calls == [2] * archetypes  # the kernel fills row i = 2 only
 
 
@@ -383,7 +388,7 @@ def test_transition_sums_match_per_report_reference(family, d):
     # checks the values against the d = 2 criteria, test_p_t_value_matches_oracle
     # against BFS.
     for D in range(1, 8):
-        assert _transition_sums(family, D, d) == _reference_transition_sums(family, D, d), D
+        assert _transition_sums(family, D, _bound(family, D, d)) == _reference_transition_sums(family, D, d), D
 
 
 def _polynomial_transition_sums(family, D, d):
@@ -393,7 +398,7 @@ def _polynomial_transition_sums(family, D, d):
     its sums at 2^K, and is kept here as its reference."""
     classes = enumerate_classes(family, D) if d is None else classes_realizable(family, D, d)
     levels = range(1, D + 1)
-    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, d, levels))
+    counts = Counter(term for c in classes for term in _class_terms(family, D, c.pattern, _bound(family, D, d), levels))
     sizes = {}
     for (*key, s), count in counts.items():
         key = tuple(key)
@@ -411,7 +416,19 @@ def _polynomial_transition_sums(family, D, d):
 @pytest.mark.parametrize("d", [None, 2, 3, 4])
 def test_packed_transition_sums_match_the_polynomial_sums(family, d):
     for D in range(1, 9):
-        assert _transition_sums(family, D, d) == _polynomial_transition_sums(family, D, d), D
+        assert _transition_sums(family, D, _bound(family, D, d)) == _polynomial_transition_sums(family, D, d), D
+
+
+def test_a_degree_whose_alphabet_holds_D_plus_1_symbols_reads_the_symbolic_kernel():
+    # B(7,6)'s class bound min(7, D + 1) is the symbolic D + 1: the table and every value share one kernel run
+    from layerscope import probabilities
+
+    for f in (_transition_sums, probabilities._p_t_symbolic, p_t_value):
+        f.cache_clear()
+    table = transition_table(B, 6)
+    for (i, j), entry in table.entries.items():
+        assert p_t_value(B, 7, 6, i, j) == entry.evaluate(7), (i, j)
+    assert _transition_sums.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("family", [B, K])

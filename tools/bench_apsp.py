@@ -7,18 +7,21 @@ interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and 
 the best of 3 verify_graph runs per graph with the class-sum caches cleared before
 each (growth drivers arcs = n d and D), one `layerscope verify` over the default
 grid by the CLI, and the best of 3 full P_in rows with the caches cleared before
-each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver the classes
-with at most the alphabet's symbols, all of them when symbolic), and the best of 3
-symbolic P_t tables (`transition_table`, the best of 1 for B(d,9)) with the caches
-cleared before each (growth driver the class count), in seconds; a revision that
-refuses a graph (TooLarge) reads "refused". The import rows are the
+each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver D), the best
+of 3 symbolic P_t tables (`transition_table`, the best of 1 for B(d,9)) with the
+caches cleared before each (growth driver the class count), and the best of 3
+`layerscope pt -d` tables, in process through `cli.main` with the caches cleared
+before each (growth driver the classes within the degree's class bound), in
+seconds; a revision that refuses a graph (TooLarge) reads "refused". The two
+revisions take turns at running first, row by row, so that a burst of load on a
+shared host does not land on the same side of every row. The import rows are the
 best of 20 fresh interpreters, each timed from spawn to the end of `import
 layerscope.cli` on a fresh copy of `src`: with PYTHONDONTWRITEBYTECODE=1, so the
 package compiles from source every time, and without it, after one spawn that
 writes the bytecode. The maxrss columns are ru_maxrss of that interpreter, in MB.
 Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_29.json
+    python tools/bench_apsp.py BASE_REV BENCH_32.json
 """
 
 import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
@@ -26,11 +29,12 @@ import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
 P_T = [("B", 6, 3), ("K", 7, 3), ("B", 8, 3), ("K", 9, 3), ("B", 9, 1)]  # (family, D, runs)
+PT_CLI = [("B", 8, 9), ("K", 9, 9)]  # (family, D, d): alphabets of D + 1 symbols or more
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
 from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
 stage, runs, args, best = sys.argv[1], int(sys.argv[2]), sys.argv[3:], float("inf")
-family, numbers = args and graphs.Family.parse(args[0]), [*map(int, args[1:])]
+family, numbers = (None, []) if stage == "cli" else (graphs.Family.parse(args[0]), [*map(int, args[1:])])
 params = stage in ("DistanceTable", "verify_graph") and graphs.GraphParams(family, *numbers)
 for _ in range(runs):
     for f in [*vars(probabilities).values(), *vars(vertex_classes).values()]:
@@ -50,7 +54,7 @@ for _ in range(runs):
             elif stage == "transition_table":
                 probabilities.transition_table(family, numbers[0])
             else:
-                cli.main(["verify"])
+                assert cli.main(args) == 0
     except errors.TooLarge:
         best = "refused"
         break
@@ -103,26 +107,31 @@ def main(base: str, path: str) -> None:
     stages = [(f"import layerscope.cli, {mode}", ("import", mode), {}) for mode in ("no bytecode written", "cached")]
     stages += [(f"{stage} {f}({d},{D})", (stage, "3", f, str(d), str(D)), drivers(stage, n_of[f](d, D), d, D))
               for stage in ("DistanceTable", "verify_graph") for f, d, D in GRAPHS]
-    stages.append(("layerscope verify, default grid", ("grid", "1"), {}))
+    stages.append(("layerscope verify, default grid", ("cli", "1", "verify"), {}))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from layerscope.graphs import Family, alphabet_size
     from layerscope.vertex_classes import class_count
 
     for f, d, D in P_IN:
-        family = Family.parse(f)
         if d is None:
-            stages.append((f"p_in {f}(d,{D})", ("p_in", "3", f, str(D)), {"class_count": class_count(family, D)}))
+            stages.append((f"p_in {f}(d,{D})", ("p_in", "3", f, str(D)), {"D": D}))
         else:
-            growth = {"class_count": class_count(family, D, alphabet_size(family, d))}
-            stages.append((f"p_in_value {f}({d},{D})", ("p_in_value", "3", f, str(d), str(D)), growth))
+            stages.append((f"p_in_value {f}({d},{D})", ("p_in_value", "3", f, str(d), str(D)), {"D": D}))
     for f, D, runs in P_T:
         growth = {"class_count": class_count(Family.parse(f), D)}
         stages.append((f"transition_table {f}(d,{D})", ("transition_table", str(runs), f, str(D)), growth))
+    for f, D, d in PT_CLI:
+        family = Family.parse(f)
+        growth = {"class_count": class_count(family, D, min(alphabet_size(family, d), D + 1))}
+        argv = ["pt", "-f", f, "-D", str(D), "-d", str(d)]
+        stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), growth))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
-        for stage, argv, growth in stages:
-            (base_s, base_mb), (new_s, new_mb) = (measure(os.path.join(top, "src"), *argv) for top in (tmp, ROOT))
+        for k, (stage, argv, growth) in enumerate(stages):
+            tops = (tmp, ROOT) if k % 2 == 0 else (ROOT, tmp)  # the base side runs first on every other row
+            measured = {top: measure(os.path.join(top, "src"), *argv) for top in tops}
+            (base_s, base_mb), (new_s, new_mb) = measured[tmp], measured[ROOT]
             seconds = [s if isinstance(s, str) else round(s, 4) for s in (base_s, new_s)]
             rows.append({"stage": stage, **growth, "base_s": seconds[0], "change_s": seconds[1],
                          "base_maxrss_mb": round(base_mb, 1), "change_maxrss_mb": round(new_mb, 1)})
