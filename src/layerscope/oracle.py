@@ -398,7 +398,7 @@ def _check_class_sizes(g: ExplicitDigraph, summary: GridSummary, ctx: dict) -> N
     past the bound has size 0 and no vertex: one passing check, counted and not built."""
     family, d, D = g.params.family, g.params.d, g.params.D
     observed = oracle_class_counts(g)
-    sized = [s for s in range(D + 1) if vertex_classes.class_cardinality_poly(family, s).evaluate(d)]  # s = 0: 1
+    sized = [s for s in range(D + 1) if vertex_classes.class_cardinality_poly(family, s).evaluate(d)]  # s = 0 gives 1
     checked = vertex_classes.enumerate_classes(family, D, max(sized + [max(p) + 1 for p in observed]))
     summary.checks += vertex_classes.class_count(family, D)  # one per pattern, built or not
     for c in checked:
