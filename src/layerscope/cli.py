@@ -112,6 +112,21 @@ def _emit(fmt: str, headers: List[str], rows: List[List[str]], payload: dict, no
         _emit_table(headers, rows, notes)
 
 
+def _record(d: Optional[int], f, **fields) -> dict:
+    """One printed row: fields, plus "value", f at d, when a degree is given."""
+    return fields if d is None else {**fields, "value": str(f.evaluate(d))}
+
+
+def _emit_records(args, columns, records: List[dict], payload: dict, notes=(), value_csv=None) -> None:
+    """Print records, one per row. JSON prints payload, which holds them; table and CSV cells read
+    them by key under columns of (key, table header, CSV header), with -d a last "value" column
+    headed "value at d=N" (value_csv in CSV, if given)."""
+    if args.d is not None:
+        columns = [*columns, ("value", f"value at d={args.d}", value_csv or f"value at d={args.d}")]
+    cells = [[str(record[key]) for key, _, _ in columns] for record in records]
+    _emit(args.format, [c[2 if args.format == "csv" else 1] for c in columns], cells, payload, notes)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -122,66 +137,37 @@ def cmd_layers(args) -> int:
     D = args.D
     if (args.vertex is None) == (args.cls is None):
         raise _UsageError("layers needs exactly one of --vertex or --class")
-    alphabet = None if args.d is None else alphabet_size(family, args.d)
+    label = args.vertex if args.cls is None else args.cls
+    word = split_symbols(label)
     if args.cls is not None:
-        word = split_symbols(args.cls)
         if canonical_pattern(word) != tuple(word):
-            raise _UsageError(f"class {args.cls} is not in restricted-growth form (e.g. 0102)")
+            raise _UsageError(f"class {label} is not in restricted-growth form (e.g. 0102)")
         needed = len(set(word))
-        if alphabet is not None and needed > alphabet:
+        if args.d is not None and needed > alphabet_size(family, args.d):
             raise AlphabetTooSmall(
-                f"class {args.cls} needs {needed} symbols, alphabet has {alphabet} at d={args.d}"
+                f"class {label} needs {needed} symbols, alphabet has {alphabet_size(family, args.d)} at d={args.d}"
             )
-        v = _check_word(family, D, word, None)
-        label = args.cls
-    else:
-        word = split_symbols(args.vertex)
-        v = _check_word(family, D, word, args.d)
-        label = args.vertex
-    indices = [args.i] if args.i is not None else list(range(D + 1))
-    headers = ["i", "|S_i*|"]
-    if args.d is not None:
-        headers.append(f"value at d={args.d}")
-    rows = []
-    json_rows = []
-    for i in indices:
+    v = _check_word(family, D, word, args.d)
+    records = []
+    for i in [args.i] if args.i is not None else range(D + 1):
         poly = layer_poly_eval(family, D, v, i)
-        row = [str(i), str(poly)]
-        entry = {"i": i, "formula": str(poly), "coeffs": poly.to_json()}
-        if args.d is not None:
-            value = poly.evaluate(args.d)
-            row.append(str(value))
-            entry["value"] = str(value)
-        rows.append(row)
-        json_rows.append(entry)
-    payload = {"family": str(family), "D": D, "vertex": label, "rows": json_rows}
+        records.append(_record(args.d, poly, i=i, formula=str(poly), coeffs=poly.to_json()))
+    payload = {"family": str(family), "D": D, "vertex": label, "rows": records}
     if args.d is not None:
         payload["d"] = args.d
-    _emit(args.format, headers, rows, payload, [])
+    _emit_records(args, [("i", "i", "i"), ("formula", "|S_i*|", "|S_i*|")], records, payload)
     return 0
 
 
 def cmd_pin(args) -> int:
     family = Family.parse(args.family)
     D = args.D
-    indices = [args.i] if args.i is not None else list(range(1, D + 1))
-    if args.format == "csv":
-        headers = ["i", "formula"] + (["value_at_d"] if args.d is not None else [])
-    else:
-        headers = ["i", "P_in(i)"] + ([f"value at d={args.d}"] if args.d is not None else [])
-    rows, json_rows = [], []
-    for i in indices:
+    records = []
+    for i in [args.i] if args.i is not None else range(1, D + 1):
         rf = p_in(family, D, i)
-        row = [str(i), rf.format()]
-        entry = {"i": i, "formula": rf.format(), "rf": rf.to_json()}
-        if args.d is not None:
-            val = rf.evaluate(args.d)
-            row.append(str(val))
-            entry["value"] = str(val)
-        rows.append(row)
-        json_rows.append(entry)
-    payload = {"family": str(family), "D": D, "kind": "input", "rows": json_rows}
-    _emit(args.format, headers, rows, payload, [])
+        records.append(_record(args.d, rf, i=i, formula=rf.format(), rf=rf.to_json()))
+    payload = {"family": str(family), "D": D, "kind": "input", "rows": records}
+    _emit_records(args, [("i", "i", "i"), ("formula", "P_in(i)", "formula")], records, payload, value_csv="value_at_d")
     return 0
 
 
@@ -200,46 +186,34 @@ def cmd_pt(args) -> int:
     if not pairs:
         raise _UsageError("empty (i, j) selection")
     symbolic = args.d is None
-    if args.format == "csv":
-        headers = ["i", "j", "formula"] + ([] if symbolic else ["value_at_d"])
-    else:
-        headers = ["i", "j", "P_t(i,j)"] + ([] if symbolic else [f"value at d={args.d}"])
-    notes = [] if not symbolic else ["symbolic formulas valid for d >= 3"]
-    rows, json_rows = [], []
+    records = []
     for i, j in pairs:
-        if symbolic:
+        if args.d == 2:  # the symbolic form holds for d >= 3 only
+            value = str(p_t_value(family, 2, D, i, j))
+            records.append({"i": i, "j": j, "formula": value, "value": value})
+        else:  # at d >= 3 the value is the printed formula at d, whose denominator has no root there
             rf = p_t(family, D, i, j)
-            rows.append([str(i), str(j), rf.format()])
-            json_rows.append({"i": i, "j": j, "formula": rf.format(), "rf": rf.to_json()})
-        else:
-            val = p_t_value(family, args.d, D, i, j)
-            # the symbolic form holds for d >= 3 only
-            formula = p_t(family, D, i, j).format() if args.d >= 3 else str(val)
-            rows.append([str(i), str(j), formula, str(val)])
-            json_rows.append({"i": i, "j": j, "formula": formula, "value": str(val)})
+            fields = {"rf": rf.to_json()} if symbolic else {}
+            records.append(_record(args.d, rf, i=i, j=j, formula=rf.format(), **fields))
     payload = {
         "family": str(family),
         "D": D,
         "kind": "transition",
         "regime": "d>=3" if symbolic else f"d={args.d}",
-        "rows": json_rows,
+        "rows": records,
     }
-    _emit(args.format, headers, rows, payload, notes)
+    notes = ["symbolic formulas valid for d >= 3"] if symbolic else []
+    columns = [("i", "i", "i"), ("j", "j", "j"), ("formula", "P_t(i,j)", "formula")]
+    _emit_records(args, columns, records, payload, notes, value_csv="value_at_d")
     return 0
 
 
 def cmd_meandist(args) -> int:
     family = Family.parse(args.family)
     rf = mean_distance(family, args.D)
-    headers = ["mean distance"]
-    rows = [[rf.format()]]
-    payload = {"family": str(family), "D": args.D, "formula": rf.format(), "rf": rf.to_json()}
-    if args.d is not None:
-        val = rf.evaluate(args.d)
-        headers.append(f"value at d={args.d}")
-        rows[0].append(str(val))
-        payload["value"] = str(val)
-    _emit(args.format, headers, rows, payload, [])
+    record = _record(args.d, rf, formula=rf.format(), rf=rf.to_json())
+    payload = {"family": str(family), "D": args.D, **record}
+    _emit_records(args, [("formula", "mean distance", "mean distance")], [record], payload)
     return 0
 
 
@@ -332,10 +306,9 @@ def cmd_markov(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, need_D=True):
+def _add_common(sub):
     sub.add_argument("-f", "--family", required=True, help="graph family: B or K")
-    if need_D:
-        sub.add_argument("-D", type=_diameter, required=True, help="diameter D")
+    sub.add_argument("-D", type=_diameter, required=True, help="diameter D")
     sub.add_argument("-d", type=_degree, default=None, help="concrete degree d")
     sub.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"

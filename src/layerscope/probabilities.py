@@ -337,20 +337,20 @@ def expected_hops(chain: DeflectionChain, start: Optional[Dict[int, Fraction]] =
 
 
 def hitting_times(chain: DeflectionChain) -> Dict[int, Fraction]:
-    """h_i = expected hops from state i to absorption, by exact Gaussian elimination."""
+    """h_i = expected hops from state i to absorption, exact, by back-substitution.
+
+    State i leaves downward only to i - 1 and each row sums to 1, so the steps
+    s_i = h_i - h_(i-1) solve s_i * rows[i][i-1] = 1 + sum over k > i of
+    s_k * sum over j >= k of rows[i][j]: from i = D down to 1, then h_i = s_1 + ... + s_i.
+    """
     if chain.deflect_prob == 1:
         raise ChainDiverges("deflection probability 1 never absorbs (P_t(D, D) = 1)")
     D = chain.D
-    # (I - Q) h = 1 over transient states 1 .. D
-    a = [[Fraction(int(r == c)) - chain.rows[r][c] for c in range(1, D + 1)] + [Fraction(1)] for r in range(1, D + 1)]
-    for col in range(D):
-        pivot = next((r for r in range(col, D) if a[r][col] != 0), None)
-        assert pivot is not None, "transient system is singular"
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(D):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return {i + 1: a[i][D] for i in range(D)}
+    steps = [Fraction(0)] * (D + 1)
+    for i in range(D, 0, -1):
+        row, tail, rhs = chain.rows[i], Fraction(0), Fraction(1)
+        for k in range(D, i, -1):
+            tail += row[k]
+            rhs += steps[k] * tail
+        steps[i] = rhs / row[i - 1]
+    return dict(enumerate(itertools.accumulate(steps[1:]), 1))

@@ -232,6 +232,25 @@ def test_markov_solves_the_chain_once(capsys, monkeypatch, extra):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("argv", ["pt -f B -D 6 -d 3", "pt -f K -D 6 -d 3 --format json"])
+def test_pt_at_a_degree_above_2_runs_one_class_kernel(capsys, argv):
+    # the value column is the printed formula at d, not a second kernel run bounded by the alphabet
+    for f in vars(probabilities).values():
+        getattr(f, "cache_clear", lambda: None)()
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert rc == 0 and out and err == ""
+    assert probabilities._transition_sums.cache_info().currsize == 1
+
+
+def test_pt_at_a_degree_above_2_refuses_the_symbolic_class_count_at_once(capsys):
+    # the printed formula needs all Bell(14) classes, so no alphabet-bounded class sum runs before the refusal
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "pt", "-f", "B", "-D", "14", "-d", "3", "-i", "1", "-j", "1")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "B(d,14) has 190,899,322 vertex classes, above the cap of 1,000,000" in err
+
+
 def _no_bfs(*_):
     raise AssertionError("BFS ran before the caps were checked")
 

@@ -38,6 +38,14 @@ GOLDEN = {
     "pt -f B -D 6 -d 7 --format json": "6bb5b6696b19bfd81a631ff49e43f685cd407579e475abf773d86b00877dffc7",
     "pt -f K -D 7 -d 7 --format csv": "332039ec8e64b890daa9ba13b7d5da6eeccf1fa7a678e712f0fc7f36fb77e418",
     "markov -f B -d 9 -D 7 -p 1/10": "6627fb58852eccb29ed5d0dff8f218d0d7978c8bc58f9825e5bddfc2308f0e83",
+    # front-end paths: a vertex, a class at a degree, and a -d value column in each format
+    "layers -f K -D 4 --vertex 0102": "865d000ce938eb27cf6118694aded158686f8f3666f7ee17787dba083ba6f2a6",
+    "layers -f B -D 5 --class 01012 -d 3 --format json": "996d67f9797ad1ccf89266df7b61cd12240c0cd5ea12b649ca432cc942c74185",
+    "layers -f K -D 5 --vertex 01020 -d 2 --format csv": "e87fa9013306ffebcc6d0669d2488158b9232f0a147c82e9696060ed8e5d5215",
+    "pin -f B -D 6 -d 3 --format csv": "bbaac5e91d7f6a7c932606532557424680ea665c0ee5a8ff79838abd774fd386",
+    "pt -f K -D 6 -d 3": "3abc11023238b920e536565c14ee239ba134c3728285f6dd18c2182814bae976",
+    "pt -f B -D 6 -d 4 --format json": "af82e02202d701bd32f29d16224ef8202209ee730dbcad86e96861abd810e003",
+    "meandist -f K -D 5 -d 3 --format json": "469f5ff27bb8499aa2319d71d43332783ed900787be232fb863ecc0079bc476f",
 }
 
 

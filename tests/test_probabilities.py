@@ -615,6 +615,20 @@ def test_chain_p_zero_marches_down():
     assert expected_hops(chain) == mean_distance(K, 4).evaluate(3)
 
 
+@pytest.mark.parametrize("family", [B, K])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+def test_hitting_times_solve_the_chain_exactly(family, d, p):
+    # h_0 = 0 and h_i = 1 + sum_j rows[i][j] h_j on every transient state, with no rounding
+    cases = [(family, d, D) for D in range(1, 7)] + ([(B, 2, 14)] if (family, d) == (B, 2) else [])
+    for f, dd, D in cases:
+        chain = build_chain(f, dd, D, p)
+        h = {0: Fraction(0), **hitting_times(chain)}
+        assert sorted(h) == list(range(D + 1))
+        for i in range(1, D + 1):
+            assert h[i] == 1 + sum(x * h[j] for j, x in enumerate(chain.rows[i])), (f, dd, D, i)
+
+
 def test_chain_p_one_diverges():
     with pytest.raises(ChainDiverges):
         hitting_times(build_chain(K, 3, 4, 1))

@@ -1,6 +1,6 @@
-"""Per-stage numbers for start-up, `verify`, P_in and P_t: the CLI's import, the oracle's
-all-pairs DistanceTable, verify_graph, the default grid, and the input and transition
-probabilities.
+"""Per-stage numbers for start-up, `verify`, P_in, P_t and `markov`: the CLI's import, the
+oracle's all-pairs DistanceTable, verify_graph, the default grid, the input and transition
+probabilities, and the distance chain.
 
 Each row is measured at a base revision and at the working tree, each in a fresh
 interpreter: the best of 3 DistanceTable builds per graph (growth drivers n and n^2),
@@ -11,17 +11,18 @@ each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver D), the be
 of 3 symbolic P_t tables (`transition_table`, the best of 1 for B(d,9)) with the
 caches cleared before each (growth driver the class count), and the best of 3
 `layerscope pt -d` tables, in process through `cli.main` with the caches cleared
-before each (growth driver the classes within the degree's class bound), in
-seconds; a revision that refuses a graph (TooLarge) reads "refused". The two
-revisions take turns at running first, row by row, so that a burst of load on a
-shared host does not land on the same side of every row. The import rows are the
+before each (growth driver the classes within the degree's class bound), and the
+best of 3 `layerscope markov` runs the same way (growth driver D), in seconds; a
+revision that refuses a graph (TooLarge) reads "refused". The two revisions take
+turns at running first, row by row, so that a burst of load on a shared host does
+not land on the same side of every row. The import rows are the
 best of 20 fresh interpreters, each timed from spawn to the end of `import
 layerscope.cli` on a fresh copy of `src`: with PYTHONDONTWRITEBYTECODE=1, so the
 package compiles from source every time, and without it, after one spawn that
 writes the bytecode. The maxrss columns are ru_maxrss of that interpreter, in MB.
 Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_32.json
+    python tools/bench_apsp.py BASE_REV BENCH_33.json
 """
 
 import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
@@ -29,7 +30,8 @@ import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
 P_T = [("B", 6, 3), ("K", 7, 3), ("B", 8, 3), ("K", 9, 3), ("B", 9, 1)]  # (family, D, runs)
-PT_CLI = [("B", 8, 9), ("K", 9, 9)]  # (family, D, d): alphabets of D + 1 symbols or more
+PT_CLI = [("B", 8, 9), ("K", 9, 9), ("B", 8, 3), ("K", 9, 3)]  # (family, D, d)
+MARKOV = [("B", 2, 14, "1/10"), ("B", 2, 16, "1/10")]  # (family, d, D, p)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
 from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
@@ -125,6 +127,9 @@ def main(base: str, path: str) -> None:
         growth = {"class_count": class_count(family, D, min(alphabet_size(family, d), D + 1))}
         argv = ["pt", "-f", f, "-D", str(D), "-d", str(d)]
         stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), growth))
+    for f, d, D, p in MARKOV:
+        argv = ["markov", "-f", f, "-d", str(d), "-D", str(D), "-p", p]
+        stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), {"D": D}))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
