@@ -247,6 +247,7 @@ def cmd_markov(args) -> int:
         print("diverges: deflection probability 1 makes the diameter state absorbing")
         return 0
     start = {i: p_in_value(family, args.d, args.D, i) for i in range(1, args.D + 1)}  # P_in's cap before P_t's work
+    g = args.monte_carlo and build_explicit(GraphParams(family, args.d, args.D))  # and the walk's n^2 cap
     chain = build_chain(family, args.d, args.D, p)
     hops = hitting_times(chain)
     overall = sum(w * hops[i] for i, w in start.items())  # expected_hops would solve the chain again
@@ -278,7 +279,6 @@ def cmd_markov(args) -> int:
                 f"{args.monte_carlo} packets x {float(overall):.6g} expected hops = "
                 f"{float(args.monte_carlo * overall):.3g} hops, above the walk budget of {WALK_HOP_BUDGET:,}"
             )
-        g = build_explicit(GraphParams(family, args.d, args.D))
         stats = simulate_walk_hops(g, float(p), args.monte_carlo, seed=args.seed)
         diff = abs(stats.mean - float(overall))
         bound = 3 * stats.stderr

@@ -171,13 +171,13 @@ def landing_row(params: GraphParams, z: Vertex) -> bytes:
 
 class ExplicitDigraph:
     """Materialized vertex and adjacency lists for one concrete (d, D): succ[i] lists the vertex ids
-    adjacent from vertices[i], index maps a vertex tuple to its id. Immutable after construction, so
-    safe for concurrent reads, and equal only to itself: never hashed or compared by value."""
+    adjacent from vertices[i]. Immutable after construction, so safe for concurrent reads, and
+    equal only to itself: never hashed or compared by value."""
 
-    __slots__ = ("params", "vertices", "succ", "index")
+    __slots__ = ("params", "vertices", "succ")
 
-    def __init__(self, params: GraphParams, vertices: Tuple[Vertex, ...], succ: tuple, index: dict):
-        for name, value in zip(self.__slots__, (params, vertices, succ, index)):
+    def __init__(self, params: GraphParams, vertices: Tuple[Vertex, ...], succ: tuple):
+        for name, value in zip(self.__slots__, (params, vertices, succ)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -205,7 +205,7 @@ def build_explicit(params: GraphParams) -> ExplicitDigraph:
     assert len(vertices) == n
     index = {v: i for i, v in enumerate(vertices)}
     succ = tuple(tuple(index[w] for w in successors(params, v)) for v in vertices)
-    return ExplicitDigraph(params=params, vertices=vertices, succ=succ, index=index)
+    return ExplicitDigraph(params=params, vertices=vertices, succ=succ)
 
 
 def bfs_distances(g: ExplicitDigraph, source_id: int) -> bytearray:

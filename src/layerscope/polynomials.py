@@ -134,13 +134,6 @@ class IntPolynomial:
             return self
         return IntPolynomial(tuple(a // c for a in self.coeffs))
 
-    def divides_exactly(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Exact division self / divisor; raises if the division has a remainder."""
-        q, r = _divmod_int(self, divisor)
-        if r is None or not r.is_zero:
-            raise ArithmeticError("polynomial division is not exact")
-        return q
-
     # -- formatting -----------------------------------------------------
 
     def format(self) -> str:
@@ -226,17 +219,17 @@ def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return _divmod_int(a * b.leading ** (a.degree - b.degree + 1), b)[1]
 
 
-def _heu_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
-    """GCDHEU on primitive a, b of degree >= 1: their gcd up to sign, or None.
+def _heu_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple | None:
+    """GCDHEU on primitive a, b of degree >= 1: (g, a / g, b / g), g their gcd up to sign, or None.
 
-    Evaluates both at an integer xi, takes the integer gcd h of the values and
-    reads a candidate g back from the balanced base-xi digits of h. With
-    xi >= 2 min(|a|, |b|) + 2 (max-norms), g is the gcd whenever its primitive
-    part divides a and b exactly (Char, Geddes and Gonnet, J. Symbolic Comput.
-    7, 1989, Thm. 1), so a returned g is never a guess. Else xi grows by
-    73794 xi^(1/4) / 27011, as in SymPy's `dup_zz_heu_gcd`, up to six tries:
-    the paper's fixed factor 73794/27011 gives up on some inputs of degree
-    364-389 in the B(d,9) table, which this rule settles within four points.
+    Evaluates both at an integer xi, takes the integer gcd h of the values and reads a
+    candidate g back from the balanced base-xi digits of h. With xi >= 2 min(|a|, |b|) + 2
+    (max-norms), g is the gcd whenever its primitive part divides a and b exactly (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 7, 1989, Thm. 1), so a returned g is never a
+    guess, and the quotients of that proof are the cofactors. Else xi grows by
+    73794 xi^(1/4) / 27011, as in SymPy's `dup_zz_heu_gcd`, up to six tries: the paper's
+    fixed factor 73794/27011 gives up on some inputs of degree 364-389 in the B(d,9)
+    table, which this rule settles within four points.
     """
     xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
     for _ in range(6):
@@ -251,37 +244,36 @@ def _heu_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
             h = (h - c) // xi
         g = IntPolynomial(digits).primitive()
         # the remainder is None when a quotient coefficient is not an integer
-        if all(_divmod_int(p, g)[1] == IntPolynomial.zero() for p in (a, b)):
-            return g
+        qa, ra = _divmod_int(a, g)
+        qb, rb = _divmod_int(b, g) if ra == IntPolynomial.zero() else (None, None)
+        if rb == IntPolynomial.zero():
+            return g, qa, qb
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive polynomial gcd with positive leading coefficient.
+def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple:
+    """(g, a', b'): the primitive gcd g with positive leading coefficient and the cofactors
+    a.primitive() == g * a', b.primitive() == g * b'; all three are 0 when a = b = 0.
 
-    Two non-constant inputs go first to the heuristic gcd `_heu_gcd`
-    (GCDHEU): one big-integer gcd of the values at xi >= 2 min(|a|, |b|) + 2,
-    whose candidate is accepted only when it divides both inputs exactly, which
-    proves it is the gcd. When it gives up, or an input is zero or constant,
-    the primitive pseudo-remainder sequence runs, so all arithmetic stays in Z.
-    Integer contents are ignored: gcd(2d, 4) is 1, not 2.
+    Two non-constant inputs go first to the heuristic gcd `_heu_gcd` (GCDHEU):
+    one big-integer gcd of the values at xi >= 2 min(|a|, |b|) + 2, whose
+    candidate is accepted only when it divides both inputs exactly, which proves
+    it is the gcd and gives the cofactors. When it gives up, or an input is zero
+    or constant, the primitive pseudo-remainder sequence runs, all in Z, and each
+    cofactor is one exact division. Integer contents are ignored: gcd(2d, 4) is 1.
     """
     if a.is_zero and b.is_zero:
-        return IntPolynomial.zero()
-    a = a.primitive()
-    b = b.primitive()
-    g = _heu_gcd(a, b) if a.degree > 0 and b.degree > 0 else None
-    if g is None:
-        while not b.is_zero:
-            if a.degree < b.degree:
-                a, b = b, a
-                continue
-            a, b = b, _pseudo_rem(a, b).primitive()
-        g = a
-    if g.leading < 0:
-        g = -g
-    return g
+        return a, a, a
+    a, b = a.primitive(), b.primitive()
+    found = _heu_gcd(a, b) if a.degree > 0 and b.degree > 0 else None
+    if found is None:
+        g, r = (a, b) if a.degree >= b.degree else (b, a)  # each remainder is of lower degree
+        while not r.is_zero:
+            g, r = r, _pseudo_rem(g, r).primitive()
+        found = g, _divmod_int(a, g)[0], _divmod_int(b, g)[0]
+    g, a, b = found
+    return (g, a, b) if g.leading > 0 else (-g, -a, -b)
 
 
 class RationalFunction:
@@ -290,21 +282,18 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPolynomial, den: IntPolynomial):
-        """Build and canonicalize num/den; raises ZeroDenominator when den = 0."""
+        """Build and canonicalize num/den; raises ZeroDenominator when den = 0. The reduced
+        primitive parts from poly_gcd are scaled back by each content over the contents' gcd."""
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero:
             object.__setattr__(self, "num", IntPolynomial.zero())
             object.__setattr__(self, "den", IntPolynomial.one())
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.divides_exactly(g)
-            den = den.divides_exactly(g)
-        c = math.gcd(num.content(), den.content())
-        if c > 1:
-            num = IntPolynomial(tuple(a // c for a in num.coeffs))
-            den = IntPolynomial(tuple(a // c for a in den.coeffs))
+        cn, cd = num.content(), den.content()
+        c = math.gcd(cn, cd)
+        _, num, den = poly_gcd(num, den)
+        num, den = num * (cn // c), den * (cd // c)
         if den.leading < 0:
             num, den = -num, -den
         object.__setattr__(self, "num", num)

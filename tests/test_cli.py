@@ -214,6 +214,17 @@ def test_markov_refuses_p_in_over_the_cap_before_the_chain(capsys, monkeypatch):
     assert err.strip() == "error: P_in of K(d,9) needs more border-array nodes than the cap of 300"
 
 
+def test_markov_refuses_a_walk_over_the_n2_cap_before_the_chain(capsys, monkeypatch):
+    # the walk's graph is refused on its n^2 distance bytes alone; the P_t class sums must not run first
+    def no_chain(*_):
+        raise AssertionError("the P_t chain was built before the walk's graph was refused")
+
+    monkeypatch.setattr("layerscope.cli.build_chain", no_chain)
+    rc, out, err = run_cli(capsys, "markov", "-f", "K", "-d", "4", "-D", "7", "-p", "1/10", "--monte-carlo", "10")
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: K(4,7) needs n^2 = 419,430,400 bytes, above the APSP cap of 268,435,456"
+
+
 @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--monte-carlo", "200", "--seed", "1"]])
 def test_markov_solves_the_chain_once(capsys, monkeypatch, extra):
     calls = []

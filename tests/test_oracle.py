@@ -26,11 +26,11 @@ DEFAULT_GRID = [GraphParams(f, d, D) for f in (B, K) for d in (2, 3, 4) for D in
 
 
 def _layer_counts(g, v):
-    return DistanceTable(g).layer_counts(g.index[v])
+    return DistanceTable(g).layer_counts(g.vertices.index(v))
 
 
 def _intersection(g, v, w, i, j):
-    return DistanceTable(g).arc_histogram(g.index[v], g.index[w])[(i, j)]
+    return DistanceTable(g).arc_histogram(g.vertices.index(v), g.vertices.index(w))[(i, j)]
 
 
 def _p_in(table, i):
@@ -106,7 +106,7 @@ def test_arc_histogram_counts_zipped_rows(params, sources):
 
 def _digraph(succ):
     """A hand-built digraph on len(succ) vertices; the table reads only the arcs."""
-    return ExplicitDigraph(GraphParams(B, 2, 2), tuple((k,) for k in range(len(succ))), succ=succ, index={})
+    return ExplicitDigraph(GraphParams(B, 2, 2), tuple((k,) for k in range(len(succ))), succ=succ)
 
 
 def _bfs_rows(g):
@@ -408,7 +408,7 @@ def _inject(monkeypatch, quantity):
 
         def broken_row(params, v):
             row = real_row(params, v)
-            z_id = build_explicit(params).index[v[::-1]]
+            z_id = build_explicit(params).vertices.index(v[::-1])
             if row[z_id] == 2:
                 row[z_id] = 3
             return row

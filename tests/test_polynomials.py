@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from layerscope import polynomials
 from layerscope.errors import PoleAtValue, ZeroDenominator
-from layerscope.polynomials import IntPolynomial, RationalFunction, _unpack, poly_gcd
+from layerscope.polynomials import IntPolynomial, RationalFunction, _divmod_int, _unpack, poly_gcd
 
 P = IntPolynomial
 
@@ -51,10 +52,10 @@ def test_format_descending():
 def test_poly_gcd_primitive():
     a = poly(1, 0, -1)  # (d-1)(d+1)
     b = poly(1, -2, 1)  # (d-1)^2
-    assert poly_gcd(a, b) == poly(1, -1)
+    assert poly_gcd(a, b)[0] == poly(1, -1)
     # contents are ignored
-    assert poly_gcd(poly(2, 0), poly(4)) == P.one()
-    assert poly_gcd(P.zero(), b) == b
+    assert poly_gcd(poly(2, 0), poly(4))[0] == P.one()
+    assert poly_gcd(P.zero(), b)[0] == b
 
 
 def _prs_gcd(a, b):
@@ -66,9 +67,9 @@ def _prs_gcd(a, b):
 def test_poly_gcd_fallback_keeps_the_primitive_answers():
     a = poly(1, 0, -1)
     b = poly(1, -2, 1)
-    assert _prs_gcd(a, b) == poly(1, -1)
-    assert _prs_gcd(poly(2, 0), poly(4)) == P.one()
-    assert _prs_gcd(P.zero(), b) == b
+    assert _prs_gcd(a, b)[0] == poly(1, -1)
+    assert _prs_gcd(poly(2, 0), poly(4))[0] == P.one()
+    assert _prs_gcd(P.zero(), b)[0] == b
 
 
 def test_poly_gcd_heuristic_outgrows_a_large_spurious_factor(monkeypatch):
@@ -88,7 +89,7 @@ def test_poly_gcd_heuristic_outgrows_a_large_spurious_factor(monkeypatch):
         return out
 
     a, b = four_from(0), four_from(4)
-    assert poly_gcd(g * a * a, g * b * b) == g
+    assert poly_gcd(g * a * a, g * b * b)[0] == g
 
 
 @pytest.mark.parametrize(
@@ -105,7 +106,7 @@ def test_poly_gcd_heuristic_retries_at_a_larger_point(monkeypatch, a, b, points)
     evaluated = []
     evaluate = P.evaluate
     monkeypatch.setattr(P, "evaluate", lambda p, x: evaluated.append(x) or evaluate(p, x))
-    assert poly_gcd(a, b) == P.one() == _prs_gcd(a, b)
+    assert poly_gcd(a, b)[0] == P.one() == _prs_gcd(a, b)[0]
     assert len(evaluated) == 2 * points and len(set(evaluated)) == points
 
 
@@ -250,14 +251,58 @@ _contents = st.integers(-6, 6).filter(bool)
 def test_poly_gcd_matches_pseudo_remainder_reference(a, b, g, ka, kb):
     # common factor g, contents ka, kb and leading coefficients of either sign
     a, b = a * g * ka, b * g * kb
-    got = poly_gcd(a, b)
-    assert got == _prs_gcd(a, b)
+    got = poly_gcd(a, b)[0]
+    assert got == _prs_gcd(a, b)[0]
     if not (a.is_zero and b.is_zero):
         assert got.leading > 0 and got.content() == 1
         for p in (a, b):
-            assert p.is_zero or p.divides_exactly(got) * got == p
+            assert _divmod_int(p, got)[1] == P.zero()
         if not g.is_zero:
-            assert got.divides_exactly(g.primitive()) * g.primitive() == got
+            assert _divmod_int(got, g.primitive())[1] == P.zero()
+
+
+@_PROPERTY
+@given(_factors, _factors, _factors, _contents, _contents)
+def test_poly_gcd_returns_the_cofactors_of_the_primitive_parts(a, b, g, ka, kb):
+    a, b = a * g * ka, b * g * kb
+    got = poly_gcd(a, b)
+    g, ra, rb = got
+    assert g * ra == a.primitive() and g * rb == b.primitive()
+    if not (a.is_zero and b.is_zero):
+        assert poly_gcd(ra, rb)[0] == P.one()
+    # the heuristic's proof quotients and the fallback's exact divisions agree
+    assert got == _prs_gcd(a, b)
+
+
+def _divide_then_content(num, den):
+    """Reference canonical form: divide num and den by their gcd, then by the gcd of their
+    contents, then make den's leading coefficient positive."""
+    if num.is_zero:
+        return P.zero(), P.one()
+    g = _prs_gcd(num, den)[0]
+    num, den = _divmod_int(num, g)[0], _divmod_int(den, g)[0]
+    c = math.gcd(num.content(), den.content())
+    num, den = P(x // c for x in num.coeffs), P(x // c for x in den.coeffs)
+    return (-num, -den) if den.leading < 0 else (num, den)
+
+
+@_PROPERTY
+@given(_factors, _factors.filter(bool), _factors, _contents, _contents)
+def test_rf_matches_the_divide_then_content_reference(num, den, g, kn, kd):
+    num, den = num * g * kn, den * (g or P.one()) * kd
+    rf = RationalFunction(num, den)
+    assert (rf.num, rf.den) == _divide_then_content(num, den)
+
+
+def test_rf_divides_by_a_shared_factor_once(monkeypatch):
+    calls = []
+    for name in ("poly_gcd", "_divmod_int"):
+        fn = getattr(polynomials, name)
+        monkeypatch.setattr(polynomials, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rf = RationalFunction(poly(1, 0, -1), poly(1, -1))  # (d - 1)(d + 1) / (d - 1)
+    # the gcd's own proof divides each side once; nothing divides again
+    assert calls == ["poly_gcd", "_divmod_int", "_divmod_int"]
+    assert (rf.num, rf.den) == (poly(1, 1), P.one())
 
 
 # Kronecker substitution: packing is evaluate(1 << bits), unpacking reads balanced digits

@@ -54,7 +54,7 @@ def test_explicit_graphs_compare_by_identity():
     params = GraphParams(B, 2, 4)
     g, h = build_explicit(params), build_explicit(params)
     assert g == g and g != h
-    assert (g.vertices, g.succ, g.index) == (h.vertices, h.succ, h.index)
+    assert (g.vertices, g.succ) == (h.vertices, h.succ)
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():

@@ -90,7 +90,7 @@ def test_walk_rejects_two_closer_successors_in_a_bfs_table(monkeypatch):
     # both of its successors, 1 and 2, and every other (u, z) has one closer successor
     params = GraphParams(Family.DEBRUIJN, 2, 2)
     vertices = ((0, 0), (0, 1), (1, 0), (1, 1))
-    g = ExplicitDigraph(params, vertices, succ=((1, 2), (3, 0), (3, 0), (0, 1)), index={})
+    g = ExplicitDigraph(params, vertices, succ=((1, 2), (3, 0), (3, 0), (0, 1)))
     table = DistanceTable(g)
     assert (table.rows[0][3], table.rows[1][3], table.rows[2][3]) == (2, 1, 1)
     with pytest.raises(AssertionError, match="vertex 0"):
@@ -252,6 +252,6 @@ def test_walk_rejects_fewer_than_two_vertices_before_any_draw(rows_refused, monk
         raise AssertionError("a random draw was made on a graph without a pair")
 
     monkeypatch.setattr(random.Random, "getrandbits", no_draw)
-    g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices, succ=((),) * len(vertices), index={})
+    g = ExplicitDigraph(GraphParams(Family.KAUTZ, 5, 6), vertices, succ=((),) * len(vertices))
     with pytest.raises(ValueError, match="at least 2 vertices"):
         simulate_walk_hops(g, 0.0, 10, seed=1)

@@ -10,9 +10,10 @@ grid by the CLI, and the best of 3 full P_in rows with the caches cleared before
 each, symbolic (`p_in`) or at one degree (`p_in_value`; growth driver D), the best
 of 3 symbolic P_t tables (`transition_table`, the best of 1 for B(d,9)) with the
 caches cleared before each (growth driver the class count), and the best of 3
-`layerscope pt -d` tables, in process through `cli.main` with the caches cleared
-before each (growth driver the classes within the degree's class bound), and the
-best of 3 `layerscope markov` runs the same way (growth driver D), in seconds; a
+`layerscope pt` tables, in process through `cli.main` with the caches cleared
+before each (growth driver the classes within the degree's class bound, or all
+classes for a symbolic table), and the best of 3 `layerscope markov` runs the same
+way (growth driver D for the chain alone, n and n^2 with a `--monte-carlo` walk), in seconds; a
 revision that refuses a graph (TooLarge) reads "refused". The two revisions take
 turns at running first, row by row, so that a burst of load on a shared host does
 not land on the same side of every row. The import rows are the
@@ -22,7 +23,7 @@ package compiles from source every time, and without it, after one spawn that
 writes the bytecode. The maxrss columns are ru_maxrss of that interpreter, in MB.
 Standard library only.
 
-    python tools/bench_apsp.py BASE_REV BENCH_33.json
+    python tools/bench_apsp.py BASE_REV BENCH_34.json
 """
 
 import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
@@ -30,8 +31,9 @@ import io, json, os, platform, shutil, subprocess, sys, tarfile, tempfile, time
 GRAPHS = [("B", 2, 8), ("K", 3, 5), ("K", 4, 5), ("B", 2, 10), ("B", 4, 6), ("B", 2, 12)]
 P_IN = [("B", None, 8), ("B", None, 11), ("K", None, 12), ("B", 2, 16)]  # (family, d or symbolic, D)
 P_T = [("B", 6, 3), ("K", 7, 3), ("B", 8, 3), ("K", 9, 3), ("B", 9, 1)]  # (family, D, runs)
-PT_CLI = [("B", 8, 9), ("K", 9, 9), ("B", 8, 3), ("K", 9, 3)]  # (family, D, d)
-MARKOV = [("B", 2, 14, "1/10"), ("B", 2, 16, "1/10")]  # (family, d, D, p)
+PT_CLI = [("B", 8, 9), ("K", 9, 9), ("B", 8, 3), ("K", 9, 3), ("B", 8, None)]  # (family, D, d or symbolic)
+MARKOV = [("B", 2, 14, "1/10", None), ("B", 2, 16, "1/10", None),  # (family, d, D, p, walk packets)
+          ("K", 4, 5, "1/10", 300000), ("B", 4, 6, "1/10", 10000)]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """import contextlib, io, json, resource, sys, time
 from layerscope import cli, errors, graphs, oracle, probabilities, vertex_classes
@@ -124,12 +126,17 @@ def main(base: str, path: str) -> None:
         stages.append((f"transition_table {f}(d,{D})", ("transition_table", str(runs), f, str(D)), growth))
     for f, D, d in PT_CLI:
         family = Family.parse(f)
-        growth = {"class_count": class_count(family, D, min(alphabet_size(family, d), D + 1))}
-        argv = ["pt", "-f", f, "-D", str(D), "-d", str(d)]
+        bound = D + 1 if d is None else min(alphabet_size(family, d), D + 1)
+        growth = {"class_count": class_count(family, D, bound)}
+        argv = ["pt", "-f", f, "-D", str(D)] + ([] if d is None else ["-d", str(d)])
         stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), growth))
-    for f, d, D, p in MARKOV:
+    for f, d, D, p, packets in MARKOV:
         argv = ["markov", "-f", f, "-d", str(d), "-D", str(D), "-p", p]
-        stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), {"D": D}))
+        growth = {"D": D}
+        if packets:
+            argv += ["--monte-carlo", str(packets), "--seed", "1"]
+            growth = {"n": n_of[f](d, D), "n2": n_of[f](d, D) ** 2}
+        stages.append((f"layerscope {' '.join(argv)}", ("cli", "3", *argv), growth))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(tmp)
