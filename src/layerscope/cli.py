@@ -366,13 +366,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LayerscopeError, ValueError) as exc:
+    except (_UsageError, LayerscopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

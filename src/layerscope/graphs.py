@@ -19,6 +19,7 @@ from enum import Enum
 from typing import List, NamedTuple, Tuple
 
 from .errors import KautzRepeat, LengthMismatch, SymbolOutOfRange, TooLarge
+from .polynomials import IntPolynomial
 
 Vertex = Tuple[int, ...]
 
@@ -80,10 +81,8 @@ class GraphParams(_Params):
         return f"{self.family}({self.d},{self.D})"
 
 
-def vertex_count_poly(family: Family, D: int):
+def vertex_count_poly(family: Family, D: int) -> IntPolynomial:
     """|V| as a polynomial in d: d^D for De Bruijn, d^D + d^(D-1) for Kautz."""
-    from .polynomials import IntPolynomial
-
     p = IntPolynomial.monomial(D)
     if family is Family.KAUTZ:
         p = p + IntPolynomial.monomial(D - 1)
@@ -195,14 +194,19 @@ def _enumerate_vertices(params: GraphParams) -> List[Vertex]:
     return words
 
 
-def build_explicit(params: GraphParams) -> ExplicitDigraph:
-    """Materialize the digraph. Every caller goes on to n^2 distance bytes (BFS table or walk
-    rows), so graphs above APSP_CAP raise TooLarge before any vertex is enumerated."""
+def check_apsp_cap(params: GraphParams) -> None:
+    """Raise TooLarge where the graph's n^2 all-pairs distance bytes exceed APSP_CAP."""
     n = params.vertex_count
     if n**2 > APSP_CAP:
         raise TooLarge(f"{params} needs n^2 = {n**2:,} bytes, above the APSP cap of {APSP_CAP:,}")
+
+
+def build_explicit(params: GraphParams) -> ExplicitDigraph:
+    """Materialize the digraph. Every caller goes on to n^2 distance bytes (BFS table or walk
+    rows), so graphs above APSP_CAP raise TooLarge before any vertex is enumerated."""
+    check_apsp_cap(params)
     vertices = tuple(_enumerate_vertices(params))
-    assert len(vertices) == n
+    assert len(vertices) == params.vertex_count
     index = {v: i for i, v in enumerate(vertices)}
     succ = tuple(tuple(index[w] for w in successors(params, v)) for v in vertices)
     return ExplicitDigraph(params=params, vertices=vertices, succ=succ)

@@ -17,11 +17,13 @@ and otherwise the two are disjoint. The two key facts:
 
 Every cardinality is d^i - sum a_k d^k with small a_k, held as a bit mask by
 ``LayerPolynomial``. ``layer_poly_eval`` works on (family, D, v);
-``intersection_report_eval`` builds all D reports of one arc from both words'
-suffix periods and v's layer masks, which its caller computes once per vertex,
-and its ``d2_rules`` picks the d = 2 criteria (De Bruijn only) over the d >= 3
-ones. ``layer_star_poly`` and ``intersection_report`` take (params, ...), read
-the regime off params.d, check adjacency and compute those facts themselves.
+``intersection_report_eval`` builds all D reports of one arc from all that they
+read of it: both words' suffix periods, v's layer masks, which its caller
+computes once per vertex, and the bits ``same`` where v holds w's last symbol.
+Arcs with equal arguments thus share their reports, which name no word. Its
+``d2_rules`` picks the d = 2 criteria (De Bruijn only) over the d >= 3 ones.
+``layer_star_poly`` and ``intersection_report`` take (params, ...), read the
+regime off params.d, check adjacency and compute those facts themselves.
 Both spellings stay: ``bench/spans.py`` times each, and the acceptance tests
 import the params ones. Every other predicate here reads one of the four.
 """
@@ -41,7 +43,7 @@ from .polynomials import IntPolynomial
 # ---------------------------------------------------------------------------
 
 
-def suffix_periods(v: Vertex) -> List[int]:
+def suffix_periods(v: Vertex) -> Tuple[int, ...]:
     """pi[k], the shortest period of the suffix v[k:], for every k, in O(D).
 
     One border (KMP failure) array of the reversed word, whose prefixes are the
@@ -58,7 +60,7 @@ def suffix_periods(v: Vertex) -> List[int]:
         if r[m] == r[b]:
             b += 1
         border[m + 1] = b
-    return [D - k - border[D - k] for k in range(D)]
+    return tuple(D - k - border[D - k] for k in range(D))
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +160,13 @@ class IntersectionCase(Enum):
 
 
 class IntersectionReport(NamedTuple):
-    """Cardinality polynomials of S_i*(v) cap S_j*(w) for one (v, w, i).
+    """Cardinality polynomials of S_i*(v) cap S_j*(w) for one arc v -> w and one i.
 
     back is |S_i*(v) cap S_{i-1}*(w)| and forward is |S_i*(v) cap S_{j0}*(w)|,
     each None when the corresponding set is empty. In the SPLIT case
     back + forward equals the layer polynomial of S_i*(v).
     """
 
-    v: Vertex
-    w: Vertex
     i: int
     case: IntersectionCase
     back: Optional[LayerPolynomial]
@@ -189,28 +189,28 @@ def forward_rule(
 
 
 def intersection_report_eval(
-    family: Family, D: int, v: Vertex, w: Vertex, pi_v: List[int], pi_w: List[int], masks: List[int], d2_rules: bool
+    family: Family, D: int, pi_v: Sequence[int], pi_w: Sequence[int], masks: List[int], same: int, d2_rules: bool
 ) -> List[IntersectionReport]:
     """The reports for i = 1 .. D (index i - 1) for w adjacent from v, from the suffix periods
-    pi_v, pi_w of v, w and v's layer masks; d2_rules selects the d = 2 criteria, else d >= 3.
-    Where v_i = ... = v_D, exactly for i >= tail (De Bruijn only), S_i*(v) cap S_{i-1}*(w) is
-    empty if v_D = w_D, at any degree; else at d = 2 there is no forward j at all."""
-    same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
+    pi_v, pi_w of v, w, v's layer masks and the bits p with v[p] = w[-1]; d2_rules selects the
+    d = 2 criteria, else d >= 3. Where v_i = ... = v_D, exactly for i >= tail (De Bruijn only),
+    S_i*(v) cap S_{i-1}*(w) is empty if v_D = w_D (bit D - 1 of same), at any degree; else at
+    d = 2 there is no forward j at all."""
     tail = pi_v.index(1) + 1 if family is Family.DEBRUIJN else D + 1
     reports = []
     for i, a in enumerate(masks[1:], 1):
         j0, m, t = forward_rule(family, D, i, a, same, pi_v, pi_w)
         forward = LayerPolynomial.from_mask(i, m, t)
-        if i >= tail and v[-1] == w[-1]:
+        if i >= tail and same >> (D - 1) & 1:
             assert j0 == i, "empty back intersection forces a forward intersection at j = i"
-            reports.append(IntersectionReport(v, w, i, IntersectionCase.FORWARD_ONLY, None, i, forward))
+            reports.append(IntersectionReport(i, IntersectionCase.FORWARD_ONLY, None, i, forward))
         elif i >= tail and d2_rules:
             # a_{i-1} = 1 lets the full layer d^i - d^{i-1} - ... be rewritten with leading term d^{i-1}
             back = LayerPolynomial.from_mask(i - 1, a)
-            reports.append(IntersectionReport(v, w, i, IntersectionCase.BACK_ONLY, back, None, None))
+            reports.append(IntersectionReport(i, IntersectionCase.BACK_ONLY, back, None, None))
         else:
             back = LayerPolynomial.from_mask(i - 1, a & ~m)  # from_mask(i - 1, .) keeps bits k < i - 1
-            reports.append(IntersectionReport(v, w, i, IntersectionCase.SPLIT, back, j0, forward))
+            reports.append(IntersectionReport(i, IntersectionCase.SPLIT, back, j0, forward))
     return reports
 
 
@@ -221,8 +221,9 @@ def intersection_report(params: GraphParams, v: Vertex, w: Vertex, i: int) -> In
     if not 1 <= i <= params.D:
         raise IndexOutOfRange(f"need 1 <= i <= D, got i={i}")
     family, D, pi_v = params.family, params.D, suffix_periods(v)
+    same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
     masks = layer_masks(family, D, pi_v)
-    return intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, params.d == 2)[i - 1]
+    return intersection_report_eval(family, D, pi_v, suffix_periods(w), masks, same, params.d == 2)[i - 1]
 
 
 def intersection_poly_at(report: IntersectionReport, j: int) -> IntPolynomial:

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import graphs, layers, probabilities, vertex_classes
 from .errors import ChainDiverges
-from .graphs import ExplicitDigraph, Family, GraphParams, Vertex, build_explicit, format_vertex
+from .graphs import ExplicitDigraph, Family, GraphParams, build_explicit, format_vertex
 
 _UNREACHED = bytes.maketrans(b"01", b"\x01\x00")  # a reach-set bit as 1 byte where not reached
 
@@ -166,8 +166,6 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
     """
     import random
 
-    from .graphs import distance_row, landing_row
-
     if deflect_prob == 1:
         raise ChainDiverges("deflection probability 1: no packet reaches its destination")
     if not 0 <= deflect_prob < 1 or packets < 2:
@@ -175,7 +173,7 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
     if len(g.vertices) < 2:
         raise ValueError(f"need at least 2 vertices to draw a pair, got {len(g.vertices)}")
     rng = random.Random(seed)
-    rows = [distance_row(g.params, v) for v in g.vertices]
+    rows = [graphs.distance_row(g.params, v) for v in g.vertices]
     n = len(g.vertices)
     p = float(deflect_prob)
 
@@ -193,7 +191,7 @@ def simulate_walk_hops(g: ExplicitDigraph, deflect_prob: float, packets: int, se
             seen |= mask
         if twice or seen != (ones ^ 1 << 8 * (n - 1 - u)) << 7:
             raise AssertionError(f"vertex {u}: not one shortest-path successor per destination")
-    land = [landing_row(g.params, z) for z in g.vertices] if p else ()
+    land = [graphs.landing_row(g.params, z) for z in g.vertices] if p else ()
     # Random.randrange(m) and Random.choice(range(m)) both draw getrandbits
     # of m's bit length until the value is below m; the walk makes the same
     # draws in the same order, k for the k-th of the d - 1 deflection links.
@@ -275,14 +273,6 @@ class GridSummary:
         return not self.mismatches
 
 
-def arc_report_key(v: Vertex, w: Vertex, pi_v: Tuple[int, ...], pi_w: Tuple[int, ...]) -> tuple:
-    """All that `layers.intersection_report_eval` reads of the arc v -> w, given the graph's family, D and d:
-    the suffix periods of v and w (v's layer masks and tail index follow from pi_v) and the bits p with
-    v[p] = w[-1] (bit D - 1 says whether v[-1] = w[-1]). Arcs with equal keys get equal reports up to v and w."""
-    x = w[-1]
-    return pi_v, pi_w, sum(1 << p for p, y in enumerate(v) if y == x)
-
-
 def cell_codes(cells: dict, D: int, n: int) -> Optional[Tuple[Tuple[int, int], ...]]:
     """An arc's cells {(i, j): count} as (byte code i*(D+1) + j, count) pairs for `codes_hold`, or None where
     counting codes cannot decide the arc: a key that is no (i, j) with 1 <= i <= D and 0 <= j <= D, a count
@@ -351,23 +341,22 @@ def _check_arcs(
 ) -> Iterable[tuple]:
     """Intersection counts and j0 of every arc and (i, j), yielding (v_id, cells summed over v's out-arcs, |S_i*(v)|)
     per vertex for `_transition_table`. The arcs come from g.succ, so they need no adjacency check. An arc's reports
-    depend on it only through its `arc_report_key`, so each key's j0 per i, formula cells and `cell_codes` are
-    evaluated once. An arc whose codes hold them passes and lands its key's cells; any other builds its histogram,
-    lands that and is explained cell by cell from its key's j0 and cells."""
+    take of it only its key (pi_v, pi_w, same), besides the graph's family, D and d and v's masks, which follow from
+    pi_v, so each key's j0 per i, formula cells and `cell_codes` are evaluated once. An arc whose codes hold them
+    passes and lands its key's cells; any other builds its histogram, lands that and is explained cell by cell from
+    its key's j0 and cells."""
     params, n = g.params, len(g.vertices)
     d, D = params.d, params.D
-    period_keys = [tuple(pi) for pi in periods]
-    entries: Dict[tuple, tuple] = {}  # arc key -> (j0 per i, formula cells, their `cell_codes`)
+    entries: Dict[tuple, tuple] = {}  # (pi_v, pi_w, same) -> (j0 per i, formula cells, their `cell_codes`)
     for v_id, v in enumerate(g.vertices):
         landed: Counter = Counter()
         codes = table.arc_codes(v_id, *g.succ[v_id])
         for at, w_id in zip(range(0, len(codes), n), g.succ[v_id]):
             w = g.vertices[w_id]
             summary.checks += D * (D + 5) // 2  # per i: j0 check plus one per j in [i-1, D]
-            key = arc_report_key(v, w, period_keys[v_id], period_keys[w_id])
-            if (entry := entries.get(key)) is None:
-                pis = periods[v_id], periods[w_id]
-                reports = layers.intersection_report_eval(params.family, D, v, w, *pis, masks[v_id], d == 2)
+            same = sum(1 << p for p, y in enumerate(v) if y == w[-1])  # the bits p with v[p] = w[-1]
+            if (entry := entries.get(key := (periods[v_id], periods[w_id], same))) is None:
+                reports = layers.intersection_report_eval(params.family, D, *key[:2], masks[v_id], same, d == 2)
                 cells = {}  # the nonzero formula cells, and forward at j0 always (a histogram holds no zero)
                 for i, report in enumerate(reports, 1):
                     if report.back is not None and (back := report.back.evaluate(d)):
@@ -436,10 +425,12 @@ def verify_grid(
     d_values: Iterable[int] = _DEFAULT_GRID[1],
     D_values: Iterable[int] = _DEFAULT_GRID[2],
 ) -> GridSummary:
-    """Cross-check every closed-form quantity against the oracle on a grid of graphs."""
+    """Cross-check every closed-form quantity against the oracle on a grid of graphs. A graph
+    over APSP_CAP raises TooLarge before any graph is built."""
+    grid = [GraphParams(family, d, D) for family in families for d in d_values for D in D_values]
+    for params in grid:
+        graphs.check_apsp_cap(params)
     summary = GridSummary()
-    for family in families:
-        for d in d_values:
-            for D in D_values:
-                verify_graph(GraphParams(family, d, D), summary)
+    for params in grid:
+        verify_graph(params, summary)
     return summary

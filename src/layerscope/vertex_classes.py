@@ -115,9 +115,14 @@ def enumerate_classes(family: Family, D: int, alphabet: Optional[int] = None) ->
 
 @functools.lru_cache(maxsize=None)
 def _build_classes(family: Family, D: int, alphabet: int) -> Tuple[VertexClass, ...]:
+    bound = "" if alphabet == D else f" with at most {alphabet} symbols"
+    # refused before class_count's O(D^2) big-integer count: 0 then any word over 0, 1 (De Bruijn), or 0 1 then
+    # any word over 0, 1, 2 without a repeat (Kautz), is a pattern, so there are 2^(D - 1) or 2^(D - 2) at least
+    kautz = family is Family.KAUTZ
+    if alphabet >= 2 + kautz and (low := D - 1 - kautz) >= CLASS_CAP.bit_length():  # 2^low > CLASS_CAP
+        raise TooLarge(f"{family}(d,{D}) has at least 2^{low} vertex classes{bound}, above the cap of {CLASS_CAP:,}")
     count = class_count(family, D, alphabet)
     if count > CLASS_CAP:
-        bound = "" if alphabet == D else f" with at most {alphabet} symbols"
         raise TooLarge(f"{family}(d,{D}) has {count:,} vertex classes{bound}, above the cap of {CLASS_CAP:,}")
     return tuple(
         VertexClass(p, family, class_cardinality_poly(family, max(p) + 1)) for p in _patterns(family, D, alphabet)

@@ -379,9 +379,9 @@ def back_intersection_empty(family: Family, v: Vertex, w: Vertex, i: int) -> boo
 
 
 def _reports(family, D, v, w, d2_rules):
-    """intersection_report_eval on one arc, with the periods and masks computed here."""
-    pi_v = suffix_periods(v)
-    return intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), layer_masks(family, D, pi_v), d2_rules)
+    """intersection_report_eval on one arc, with the periods, masks and same bits computed here."""
+    pi_v, same = suffix_periods(v), sum(1 << p for p, y in enumerate(v) if y == w[-1])
+    return intersection_report_eval(family, D, pi_v, suffix_periods(w), layer_masks(family, D, pi_v), same, d2_rules)
 
 
 def ref_sublayer_nonempty(family, D, v, k, i):
@@ -488,7 +488,7 @@ def test_unique_j0_rejects_index_beyond_diameter():
 
 def test_suffix_periods_worked_example():
     # suffixes of 0110101: 0110101, 110101, 10101, 0101, 101, 01, 1
-    assert suffix_periods(V_B7) == [5, 5, 2, 2, 2, 2, 1]
+    assert suffix_periods(V_B7) == (5, 5, 2, 2, 2, 2, 1)
 
 
 # properties on random words beyond the exhaustive range above

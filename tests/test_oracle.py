@@ -12,7 +12,6 @@ from layerscope.graphs import APSP_CAP, ExplicitDigraph, Family, GraphParams, bf
 from layerscope.oracle import (
     DistanceTable,
     GridSummary,
-    arc_report_key,
     oracle_class_counts,
     oracle_mean_distance,
     oracle_transition_table,
@@ -148,6 +147,20 @@ def test_apsp_cap_keeps_pair_codes_in_one_byte():
         DistanceTable(build_explicit(GraphParams(K, 5, 6)))
 
 
+def test_verify_grid_refuses_an_over_cap_graph_before_building_any(monkeypatch):
+    # B(2,3) comes first in the grid, but no graph is built while any is over the cap,
+    # and the refusal is build_explicit's own
+    def built(params, summary):
+        raise AssertionError(f"{params} built")
+
+    monkeypatch.setattr("layerscope.oracle.verify_graph", built)
+    with pytest.raises(TooLarge) as refused:
+        verify_grid((B,), (2,), (3, 15))
+    with pytest.raises(TooLarge) as direct:
+        build_explicit(GraphParams(B, 2, 15))
+    assert str(refused.value) == str(direct.value)
+
+
 def test_oracle_mean_distance_small():
     g = build_explicit(GraphParams(B, 2, 2))
     # B(2,2): distances computed by hand over the 12 ordered pairs
@@ -222,24 +235,23 @@ def test_verify_graph_builds_one_report_list_per_arc_key(monkeypatch):
 
 @pytest.mark.parametrize("params", DEFAULT_GRID, ids=str)
 def test_arcs_with_equal_keys_get_equal_reports(params):
-    # verify_graph evaluates the formula cells of one arc per arc_report_key: sound only if
-    # intersection_report_eval reads no more of v and w than the key holds
-    from layerscope.layers import intersection_report_eval, layer_masks, suffix_periods
+    # verify_graph evaluates the reports once per key (pi_v, pi_w, same), the arguments of
+    # intersection_report_eval that vary with the arc: every arc sharing a key must get the
+    # reports that intersection_report derives from its own words
+    from layerscope.layers import intersection_report, intersection_report_eval, layer_masks, suffix_periods
 
     g = build_explicit(params)
-    periods = [suffix_periods(v) for v in g.vertices]
-    first = {}
+    keyed = {}
     for v_id, v in enumerate(g.vertices):
-        masks = layer_masks(params.family, params.D, periods[v_id])
+        pi_v = suffix_periods(v)
+        masks = layer_masks(params.family, params.D, pi_v)
         for w_id in g.succ[v_id]:
             w = g.vertices[w_id]
-            reports = intersection_report_eval(
-                params.family, params.D, v, w, periods[v_id], periods[w_id], masks, params.d == 2
-            )
-            fields = [r._replace(v=(), w=()) for r in reports]
-            key = arc_report_key(v, w, tuple(periods[v_id]), tuple(periods[w_id]))
-            assert first.setdefault(key, (v, w, fields))[2] == fields, (first[key][:2], (v, w))
-    assert len(first) < len(g.vertices) * params.d  # some arcs share a key, so the test compares them
+            key = pi_v, suffix_periods(w), sum(1 << p for p, y in enumerate(v) if y == w[-1])
+            if key not in keyed:
+                keyed[key] = intersection_report_eval(params.family, params.D, *key[:2], masks, key[2], params.d == 2)
+            assert keyed[key] == [intersection_report(params, v, w, i) for i in range(1, params.D + 1)], (v, w)
+    assert len(keyed) < len(g.vertices) * params.d  # some arcs share a key, so the test compares them
 
 
 def test_verify_graph_computes_suffix_periods_once_per_vertex(monkeypatch):
@@ -417,16 +429,15 @@ def _inject(monkeypatch, quantity):
     elif quantity in ("intersection_count", "unique_j0"):
         from layerscope.layers import intersection_report_eval as real_reports
 
-        def broken(rep):
-            i, v, w = rep.i, rep.v, rep.w
-            if quantity == "intersection_count" and i == 2 and rep.back is not None and v[0] == w[-1]:
+        def broken(rep, D, same):  # same & 1: v[0] = w[-1]; bit D - 1: v[-1] = w[-1]
+            if quantity == "intersection_count" and rep.i == 2 and rep.back is not None and same & 1:
                 return rep._replace(back=None)
-            if quantity == "unique_j0" and i == 1 and rep.forward_j == 1 and v[-1] == w[-1]:
+            if quantity == "unique_j0" and rep.i == 1 and rep.forward_j == 1 and same >> (D - 1) & 1:
                 return rep._replace(forward_j=2)
             return rep
 
-        def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):
-            return [broken(rep) for rep in real_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules)]
+        def broken_reports(family, D, pi_v, pi_w, masks, same, d2_rules):
+            return [broken(rep, D, same) for rep in real_reports(family, D, pi_v, pi_w, masks, same, d2_rules)]
 
         monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
     else:
@@ -663,8 +674,8 @@ def test_verify_reports_forward_faults_exactly(monkeypatch, fault):
             return rep._replace(forward_j=1)
         return rep
 
-    def broken_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules):
-        return [broken(rep) for rep in real_reports(family, D, v, w, pi_v, pi_w, masks, d2_rules)]
+    def broken_reports(family, D, pi_v, pi_w, masks, same, d2_rules):
+        return [broken(rep) for rep in real_reports(family, D, pi_v, pi_w, masks, same, d2_rules)]
 
     monkeypatch.setattr("layerscope.layers.intersection_report_eval", broken_reports)
     summary = GridSummary()

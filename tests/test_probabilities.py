@@ -371,7 +371,8 @@ def _reference_transition_sums(family, D, d):
         pi_v = suffix_periods(v)
         masks = layer_masks(family, D, pi_v)
         for w, weight in archetypes:
-            reports = intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, d2_rules=False)
+            same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
+            reports = intersection_report_eval(family, D, pi_v, suffix_periods(w), masks, same, d2_rules=False)
             for i, report in enumerate(reports, 1):
                 by_layer = sums[i].setdefault(report.forward_j, {})
                 num = c.cardinality * weight * report.forward.to_poly()
@@ -475,7 +476,8 @@ def _p_t_from_arc_reports(family, d, D):
         pi_v = suffix_periods(v)
         masks = layer_masks(family, D, pi_v)
         for w in arcs:
-            reports = intersection_report_eval(family, D, v, w, pi_v, suffix_periods(w), masks, d2_rules=d == 2)
+            same = sum(1 << p for p, y in enumerate(v) if y == w[-1])
+            reports = intersection_report_eval(family, D, pi_v, suffix_periods(w), masks, same, d2_rules=d == 2)
             for i, report in enumerate(reports, 1):
                 for j in range(i, D + 1):
                     acc[(i, j)] += Fraction(size * intersection_poly_at(report, j).evaluate(d), dens[i])

@@ -158,6 +158,28 @@ def test_class_count_is_bell_and_guards_enumeration():
             enumerate_classes(family, D)
 
 
+def test_enumeration_refuses_by_a_lower_bound_before_counting(monkeypatch):
+    # the exact count is an O(D^2) big-integer DP; 2^(D - 1) (De Bruijn) or 2^(D - 2) (Kautz)
+    # patterns over few symbols already exceed the cap, so a long word is refused without it
+    from layerscope import vertex_classes
+
+    real_count = vertex_classes.class_count
+
+    def small_only(family, D, alphabet=None):
+        assert D <= 64, f"class_count run at D = {D}"
+        return real_count(family, D, alphabet)
+
+    monkeypatch.setattr(vertex_classes, "class_count", small_only)
+    for family, low in [(B, 19999), (K, 19998)]:
+        with pytest.raises(TooLarge, match=f"has at least 2\\^{low} vertex classes, above"):
+            enumerate_classes(family, 20000)
+    # the bound needs 2 symbols (De Bruijn) or 3 (Kautz): below that there is one pattern
+    assert len(enumerate_classes(B, 64, 1)) == len(enumerate_classes(K, 64, 2)) == 1
+    # the first De Bruijn D the bound refuses at d = 2: 2^20 > CLASS_CAP >= 2^19
+    with pytest.raises(TooLarge, match="at least 2\\^20 vertex classes with at most 2 symbols"):
+        classes_realizable(B, 21, 2)
+
+
 @pytest.mark.parametrize("family", [B, K])
 def test_bounded_enumeration_equals_the_filtered_unbounded_one(family):
     # the reference: every Bell-many class, filtered by symbol count
